@@ -3,7 +3,9 @@ and object detections.
 
 The pipeline never runs neural inference itself; it consumes annotations
 from a precomputed file, from a synthetic scenario, or from any adapter
-implementing the same ``annotate`` contract.
+implementing the ``Backend`` contract: ``annotate`` for each streamed frame
+during segmentation, ``by_index`` for the frames that tracking and
+classification look up after the stream is gone.
 """
 
 from __future__ import annotations
@@ -90,16 +92,18 @@ class FrameAnnotations:
 
 
 class Backend(Protocol):
-    """Anything that can annotate frames."""
+    """Anything that can annotate frames, streamed or by index."""
 
     def annotate(self, frame: Frame) -> FrameAnnotations: ...
+
+    def by_index(self, index: int) -> FrameAnnotations: ...
 
 
 class MappingBackend:
     """Backend serving a fixed mapping of frame index to annotations.
 
     Pure function of (state, frame index): repeated calls return the same
-    object, and concurrent calls for distinct frames are safe.
+    object.
     """
 
     def __init__(self, records: dict[int, FrameAnnotations]) -> None:
@@ -113,9 +117,6 @@ class MappingBackend:
             return self._records[index]
         except KeyError:
             raise AnnotationError(index, "no annotation record for frame") from None
-
-    def frame_indices(self) -> list[int]:
-        return sorted(self._records)
 
 
 def _parse_detection(

@@ -11,6 +11,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from cricseg import kernels
 from cricseg.backend import (
     AnnotationError,
     AnnotationLoadError,
-    MappingBackend,
+    Backend,
     load_precomputed,
 )
 from cricseg.config import (
@@ -79,7 +80,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fps", type=float)
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict[str, str]]:
+    """The validated config, and the raw values it was built from."""
     values = load_config_file(args.config) if args.config else {}
     override = {
         "source.path": args.source,
@@ -127,64 +128,63 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         "source.fps": args.fps,
         "source.width": args.width,
         "source.height": args.height,
-        "run.threads": args.threads,
     }
     for key, value in override.items():
         if value is not None:
             values[key] = str(value)
     cfg = build_pipeline_config(values)
     cfg.validate()
-    return cfg
+    return cfg, values
 
 
-def _open_stream_and_backend(cfg: PipelineConfig):
+def _load_backend(cfg: PipelineConfig) -> tuple[Backend, ScenarioScript | None]:
+    """The annotation backend, and the scenario script behind a synthetic one."""
     if cfg.backend == "synthetic":
         script = resolve_script(cfg.scenario)
-        return frame_stream(script), synthetic_backend(script), script.fps, script.width
+        return synthetic_backend(script), script
     backend = load_precomputed(
         cfg.backend[len("file:") :],
         crop=cfg.crop,
         frame_size=(cfg.width, cfg.height) if cfg.width and cfg.height else None,
     )
-    path = Path(cfg.source)
-    if path.is_file():
-        with open(path, "rb") as fh:
-            # Raw streams are small enough to buffer for the manifest run.
-            import io
+    return backend, None
 
-            data = io.BytesIO(fh.read())
-        stream = open_source(data, cfg.fps, cfg.width, cfg.height)
+
+@contextmanager
+def _open_frames(cfg: PipelineConfig, script: ScenarioScript | None):
+    """The frame stream and its fps; a raw-luma file stays open while in use."""
+    if script is not None:
+        yield frame_stream(script), script.fps
+    elif Path(cfg.source).is_file():
+        with open(cfg.source, "rb") as fh:
+            yield open_source(fh, cfg.fps, cfg.width, cfg.height), cfg.fps
     else:
-        stream = open_source(path, cfg.fps)
-    return stream, backend, cfg.fps, cfg.width or 1280
+        yield open_source(Path(cfg.source), cfg.fps), cfg.fps
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    stream, backend, fps, _ = _open_stream_and_backend(cfg)
+    cfg, _ = _pipeline_config(args)
+    backend, script = _load_backend(cfg)
     export_dir = Path(args.export_frames) if args.export_frames else None
     frames_by_index = {}
-    frame_iter = stream
     if export_dir is not None:
         export_dir.mkdir(parents=True, exist_ok=True)
 
-        def tee():
-            for f in stream:
-                frames_by_index[f.index] = f
-                yield f
+    def tee(stream):
+        for f in stream:
+            frames_by_index[f.index] = f
+            yield f
 
-        frame_iter = tee()
-    run = run_segmentation(
-        frame_iter,
-        backend,
-        fps,
-        gate_cfg=cfg.gate,
-        boundary_cfg=cfg.boundary,
-        replay_cfg=cfg.replay,
-        strategy=cfg.strategy,
-        threads=cfg.threads,
-        kernel_impl=cfg.kernel_impl,
-    )
+    with _open_frames(cfg, script) as (stream, fps):
+        run = run_segmentation(
+            stream if export_dir is None else tee(stream),
+            backend,
+            fps,
+            gate_cfg=cfg.gate,
+            boundary_cfg=cfg.boundary,
+            replay_cfg=cfg.replay,
+            strategy=cfg.strategy,
+        )
     with open(args.out, "w", encoding="utf-8") as fh:
         for clip in run.clips:
             fh.write(
@@ -228,9 +228,9 @@ def _tracker_config(cfg: PipelineConfig, width: int, raw_max_jump_set: bool) -> 
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    _, backend, _, width = _open_stream_and_backend(cfg)
-    values = load_config_file(args.config) if args.config else {}
+    cfg, values = _pipeline_config(args)
+    backend, script = _load_backend(cfg)
+    width = script.width if script is not None else cfg.width or 1280
     tracker_cfg = _tracker_config(cfg, width, "tracker.max_jump_px" in values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,8 +258,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    _, backend, _, _ = _open_stream_and_backend(cfg)
+    cfg, _ = _pipeline_config(args)
+    backend, _ = _load_backend(cfg)
     traj_dir = Path(args.trajectories)
     paths = sorted(traj_dir.glob("clip_*.json"))
     if not paths:

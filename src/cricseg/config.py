@@ -1,7 +1,8 @@
 """Pipeline configuration: a flat key-value file plus flag overrides.
 
 The file format is one ``section.key = value`` pair per line, with ``#``
-comments. Flags always win over file values.
+comments. Flags always win over file values. A key the pipeline does not
+read is a configuration error, so a typo cannot pass unnoticed.
 """
 
 from __future__ import annotations
@@ -38,17 +39,12 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _get(values: dict[str, str], key: str, cast, default):
+def _take(values: dict[str, str], key: str, cast, default):
+    """Remove ``key`` from ``values`` and return it cast, or ``default``."""
     if key not in values:
         return default
-    raw = values[key]
+    raw = values.pop(key)
     try:
-        if cast is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
@@ -63,8 +59,6 @@ class PipelineConfig:
     width: int | None = None
     height: int | None = None
     strategy: str = "dual"
-    threads: int = 1
-    kernel_impl: str | None = None
     gate: GateConfig = field(default_factory=GateConfig)
     boundary: BoundaryConfig = field(default_factory=BoundaryConfig)
     replay: ReplayConfig = field(default_factory=ReplayConfig)
@@ -87,57 +81,53 @@ class PipelineConfig:
             raise ConfigError("the synthetic backend needs --scenario")
         if self.fps <= 0:
             raise ConfigError("fps must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
     """Assemble the typed config from flat key-value pairs."""
+    values = dict(values)
     try:
         gate = GateConfig(
-            classifier_threshold=_get(values, "gate.thresholds.classifier", float, 0.5),
-            umpire_conf_min=_get(values, "gate.thresholds.umpire", float, 0.25),
-            pitch_conf_min=_get(values, "gate.thresholds.pitch", float, 0.25),
-            dual_mode=_get(values, "gate.dual_mode", str, "union"),
-            debounce_k=_get(values, "gate.debounce_k", int, 3),
+            classifier_threshold=_take(values, "gate.thresholds.classifier", float, 0.5),
+            umpire_conf_min=_take(values, "gate.thresholds.umpire", float, 0.25),
+            pitch_conf_min=_take(values, "gate.thresholds.pitch", float, 0.25),
+            dual_mode=_take(values, "gate.dual_mode", str, "union"),
+            debounce_k=_take(values, "gate.debounce_k", int, 3),
         )
         boundary = BoundaryConfig(
-            foreground_threshold=_get(values, "boundary.foreground_threshold", float, 0.6),
-            pixel_diff_threshold=_get(values, "boundary.pixel_diff_threshold", float, 25.0),
-            learning_rate=_get(values, "boundary.learning_rate", float, 0.05),
-            init_frames=_get(values, "boundary.init_frames", int, 30),
-            min_clip_frames=_get(values, "boundary.min_clip_frames", int, 25),
+            foreground_threshold=_take(values, "boundary.foreground_threshold", float, 0.6),
+            pixel_diff_threshold=_take(values, "boundary.pixel_diff_threshold", float, 25.0),
+            learning_rate=_take(values, "boundary.learning_rate", float, 0.05),
+            init_frames=_take(values, "boundary.init_frames", int, 30),
+            min_clip_frames=_take(values, "boundary.min_clip_frames", int, 25),
         )
         replay = ReplayConfig(
-            band=BandSpec(_get(values, "replay.band_fraction", float, 0.15)),
-            mean_abs_diff_threshold=_get(values, "replay.threshold", float, 8.0),
-            strict=_get(values, "replay.strict", bool, False),
+            band=BandSpec(_take(values, "replay.band_fraction", float, 0.15)),
+            mean_abs_diff_threshold=_take(values, "replay.threshold", float, 8.0),
         )
         tracker = TrackerConfig(
-            max_jump_px=_get(values, "tracker.max_jump_px", float, 120.0),
-            max_gap_frames=_get(values, "tracker.max_gap_frames", int, 3),
+            max_jump_px=_take(values, "tracker.max_jump_px", float, 120.0),
+            max_gap_frames=_take(values, "tracker.max_gap_frames", int, 3),
         )
         pitch = PitchSpec(
-            full_max_m=_get(values, "pitch.full_max_m", float, 6.0),
-            good_max_m=_get(values, "pitch.good_max_m", float, 8.0),
-            tilt_deg=_get(values, "pitch.tilt_deg", float, 20.0),
+            full_max_m=_take(values, "pitch.full_max_m", float, 6.0),
+            good_max_m=_take(values, "pitch.good_max_m", float, 8.0),
+            tilt_deg=_take(values, "pitch.tilt_deg", float, 20.0),
         )
         crop = CropSpec(
-            top=_get(values, "crop.top", float, 0.0),
-            bottom=_get(values, "crop.bottom", float, 0.0),
-            left=_get(values, "crop.left", float, 0.0),
-            right=_get(values, "crop.right", float, 0.0),
+            top=_take(values, "crop.top", float, 0.0),
+            bottom=_take(values, "crop.bottom", float, 0.0),
+            left=_take(values, "crop.left", float, 0.0),
+            right=_take(values, "crop.right", float, 0.0),
         )
         cfg = PipelineConfig(
-            source=values.get("source.path"),
-            scenario=values.get("source.scenario"),
-            backend=_get(values, "backend.kind", str, "synthetic"),
-            fps=_get(values, "source.fps", float, 50.0),
-            width=_get(values, "source.width", int, None),
-            height=_get(values, "source.height", int, None),
-            strategy=_get(values, "gate.strategy", str, "dual"),
-            threads=_get(values, "run.threads", int, 1),
-            kernel_impl=values.get("run.kernel_impl"),
+            source=_take(values, "source.path", str, None),
+            scenario=_take(values, "source.scenario", str, None),
+            backend=_take(values, "backend.kind", str, "synthetic"),
+            fps=_take(values, "source.fps", float, 50.0),
+            width=_take(values, "source.width", int, None),
+            height=_take(values, "source.height", int, None),
+            strategy=_take(values, "gate.strategy", str, "dual"),
             gate=gate,
             boundary=boundary,
             replay=replay,
@@ -147,4 +137,6 @@ def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if values:
+        raise ConfigError(f"unknown config key: {', '.join(sorted(values))}")
     return cfg

@@ -1,4 +1,4 @@
-"""Frame ingestion and rectangular cropping.
+"""Frame ingestion and crop geometry.
 
 Frames are 8-bit luma rasters with a strictly increasing, gapless index
 and a timestamp derived from the declared fps. Sources are an image
@@ -9,7 +9,7 @@ decoding is left to external tooling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -22,7 +22,7 @@ class FrameSourceError(Exception):
 
 @dataclass(frozen=True)
 class Frame:
-    """One video frame: luma plane plus optional opaque chroma payload.
+    """One video frame: an 8-bit luma plane.
 
     Row 0 is the top of the image; row coordinates increase downward.
     Frames are immutable after creation and safe to share across threads.
@@ -31,7 +31,6 @@ class Frame:
     index: int
     timestamp_ms: float
     luma: np.ndarray
-    chroma: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -71,9 +70,6 @@ class CropSpec:
             raise ValueError("left + right crop must leave columns")
 
 
-ZERO_CROP = CropSpec()
-
-
 @dataclass(frozen=True)
 class BandSpec:
     """Fraction of frame height taken from the bottom edge."""
@@ -88,27 +84,6 @@ class BandSpec:
         """Half-open row interval [start, height) covered by the band."""
         n = max(1, int(self.band_fraction * height))
         return height - n, height
-
-
-def crop(frame: Frame, spec: CropSpec) -> Frame:
-    """Return the subframe left after removing the spec's edge fractions.
-
-    Columns [floor(left*W), W - floor(right*W)) and rows
-    [floor(top*H), H - floor(bottom*H)); the original frame is untouched.
-    Chroma is luma-adjacent metadata and is not carried through crops.
-    """
-    h, w = frame.height, frame.width
-    r0, r1 = int(spec.top * h), h - int(spec.bottom * h)
-    c0, c1 = int(spec.left * w), w - int(spec.right * w)
-    if r1 <= r0 or c1 <= c0:
-        raise ValueError("crop spec leaves an empty region")
-    return Frame(frame.index, frame.timestamp_ms, frame.luma[r0:r1, c0:c1])
-
-
-def bottom_band(frame: Frame, band: BandSpec) -> Frame:
-    """Return the bottom band_fraction rows of the frame."""
-    r0, r1 = band.rows(frame.height)
-    return Frame(frame.index, frame.timestamp_ms, frame.luma[r0:r1, :])
 
 
 def crop_offsets(spec: CropSpec, width: int, height: int) -> tuple[int, int]:
@@ -141,8 +116,6 @@ class FrameStream:
 
 def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
     """Wrap an iterable of uint8 luma arrays as a FrameStream."""
-    if fps <= 0:
-        raise FrameSourceError("fps must be positive")
 
     def gen() -> Iterator[Frame]:
         shape = None
@@ -251,8 +224,6 @@ def open_source(
     Directories hold zero-padded numbered PGM/PNG files. A byte stream is
     headerless 8-bit luma, so width and height must be given.
     """
-    if fps <= 0:
-        raise FrameSourceError("fps must be positive")
     if hasattr(uri, "read"):
         if not width or not height:
             raise FrameSourceError("raw stream input needs explicit width and height")

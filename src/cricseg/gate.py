@@ -9,7 +9,6 @@ of precision; intersection is available for the opposite trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from cricseg.backend import FrameAnnotations
 
@@ -146,15 +145,3 @@ class Debouncer:
             kind = "open" if is_front else "close"
             return GateEvent(kind, frame_index, self._run_start)
         return None
-
-
-def debounce(
-    verdicts: Iterable[tuple[int, GateVerdict | bool]], k: int
-) -> Iterator[GateEvent]:
-    """Turn an ordered (frame index, verdict) stream into gate events."""
-    deb = Debouncer(k)
-    for index, verdict in verdicts:
-        front = verdict.is_front if isinstance(verdict, GateVerdict) else bool(verdict)
-        event = deb.push(index, front)
-        if event is not None:
-            yield event

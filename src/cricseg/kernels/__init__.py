@@ -1,9 +1,13 @@
 """Hot per-pixel kernels with a compiled core and a numpy fallback.
 
 The compiled extension (``cricseg.kernels._native``) is used when it was
-built; otherwise the numpy twin takes over transparently. Both expose the
-same two functions and are kept behaviourally identical, which the test
-suite and the ``bench --impl both`` comparison enforce.
+built; otherwise the numpy twin takes over transparently. The choice is
+made once at import (``ACTIVE_IMPL``); no config key overrides it, and only
+``cricseg bench --impl`` asks for an implementation by name through
+``get_impl``. Both expose the same two functions and are kept
+behaviourally identical, which the test suite and the ``bench --impl
+both`` comparison enforce. ``band_abs_diff_mean`` is bound here for the
+replay filter; the background update is reached through ``get_impl``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,4 @@ def get_impl(name: str | None = None) -> _Impl:
     raise ValueError(f"unknown kernel implementation: {name!r}")
 
 
-_default = get_impl()
-bg_update = _default.bg_update
-band_abs_diff_mean = _default.band_abs_diff_mean
+band_abs_diff_mean = get_impl().band_abs_diff_mean

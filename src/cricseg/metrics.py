@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable
 
@@ -130,10 +130,3 @@ def report_to_csv(report: dict) -> str:
     writer.writerow(keys)
     writer.writerow([report[k] for k in keys])
     return buf.getvalue()
-
-
-def perf_report(stats: PerfStats, machine: dict | None = None) -> dict:
-    report = dict(asdict(stats))
-    if machine:
-        report["machine"] = machine
-    return report

@@ -22,7 +22,6 @@ UNDETERMINED = "undetermined"
 class ReplayConfig:
     band: BandSpec = field(default_factory=BandSpec)
     mean_abs_diff_threshold: float = 8.0
-    strict: bool = False  # also require first/middle and middle/last to agree
 
     def __post_init__(self) -> None:
         if self.mean_abs_diff_threshold < 0:
@@ -43,17 +42,9 @@ def band_difference(first: Frame, last: Frame, band: BandSpec) -> float:
 def classify_liveness(frames: Sequence[Frame], cfg: ReplayConfig) -> str:
     """Label a clip from its frames; needs at least two to decide.
 
-    Only the endpoints are compared by default; strict mode additionally
-    requires the band to be static between each endpoint and the middle
-    frame.
+    Only the endpoints are compared.
     """
     if len(frames) < 2:
         return UNDETERMINED
-    pairs = [(frames[0], frames[-1])]
-    if cfg.strict:
-        mid = frames[len(frames) // 2]
-        pairs = [(frames[0], mid), (mid, frames[-1])]
-    static = all(
-        band_difference(a, b, cfg.band) <= cfg.mean_abs_diff_threshold for a, b in pairs
-    )
+    static = band_difference(frames[0], frames[-1], cfg.band) <= cfg.mean_abs_diff_threshold
     return LIVE if static else REPLAY

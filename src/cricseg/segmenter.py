@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from cricseg import kernels
-from cricseg.backend import AnnotationError, Backend, FrameAnnotations
+from cricseg.backend import AnnotationError, Backend
 from cricseg.frames import Frame
 from cricseg.gate import Debouncer, GateConfig, GateVerdict, apply_gate
 from cricseg.replay import ReplayConfig, UNDETERMINED, classify_liveness
@@ -106,10 +106,6 @@ class BackgroundModel:
         return self._mask
 
 
-def update_background(model: BackgroundModel, frame: Frame) -> np.ndarray:
-    return model.update(frame.luma)
-
-
 def foreground_fraction(mask: np.ndarray) -> float:
     """Share of pixels flagged as foreground."""
     return float(np.count_nonzero(mask)) / mask.size
@@ -154,25 +150,6 @@ class _OpenClip:
             self.counted_up_to = index
 
 
-def _annotated(
-    frames: Iterable[Frame], backend: Backend, threads: int
-) -> Iterator[tuple[Frame, FrameAnnotations]]:
-    if threads <= 1:
-        for frame in frames:
-            yield frame, backend.annotate(frame)
-        return
-    # Backends may be called concurrently for distinct frames; map()
-    # preserves input order so the state machine stays strictly
-    # sequential.
-    from concurrent.futures import ThreadPoolExecutor
-
-    def work(frame: Frame) -> tuple[Frame, FrameAnnotations]:
-        return frame, backend.annotate(frame)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(work, frames, chunksize=4)
-
-
 def segment(
     frames: Iterable[Frame],
     backend: Backend,
@@ -181,7 +158,6 @@ def segment(
     boundary_cfg: BoundaryConfig | None = None,
     replay_cfg: ReplayConfig | None = None,
     strategy: str = "dual",
-    threads: int = 1,
     kernel_impl: str | None = None,
     on_frame: Callable[[int], None] | None = None,
 ) -> Iterator[Clip]:
@@ -236,14 +212,10 @@ def segment(
         for idx in range(start_index, current + 1):
             open_clip.count(idx, recent[idx][1])
 
-    annotated = _annotated(frames, backend, threads)
-    while True:
+    for frame in frames:
         try:
-            frame, annotations = next(annotated)
-        except StopIteration:
-            break
+            annotations = backend.annotate(frame)
         except AnnotationError as exc:
-            open_clip = None
             raise SegmentationError("backend", exc.frame_index, str(exc)) from exc
 
         current = frame.index

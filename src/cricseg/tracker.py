@@ -128,14 +128,6 @@ def find_bounce(trajectory: Trajectory) -> int | None:
     return rows.index(max(rows))
 
 
-def split_phases(trajectory: Trajectory) -> tuple[tuple[TrackPoint, ...], tuple[TrackPoint, ...]]:
-    """(descending points up to and including the bounce, ascending rest)."""
-    bounce = find_bounce(trajectory)
-    if bounce is None:
-        return trajectory.points, ()
-    return trajectory.points[: bounce + 1], trajectory.points[bounce + 1 :]
-
-
 def trajectory_to_obj(trajectory: Trajectory) -> dict:
     """Wire form: {"points": [[frame, col, row], ...], "bounce": int|null}."""
     return {

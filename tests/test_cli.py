@@ -8,7 +8,15 @@ import pytest
 from cricseg.backend import dump_annotations
 from cricseg.cli import main
 from cricseg.frames import write_pgm
-from cricseg.scenario import frame_stream, resolve_script, synthetic_backend
+from cricseg.scenario import (
+    FRONT_VIEW,
+    OTHER_VIEW,
+    DeliverySpec,
+    frame_stream,
+    resolve_script,
+    script_from_lengths,
+    synthetic_backend,
+)
 
 
 def read_jsonl(path):
@@ -90,20 +98,6 @@ class TestSegment:
         dumped = sorted((export / "clip_0001").glob("*.pgm"))
         assert len(dumped) == 100
         assert dumped[0].name == "000050.pgm"
-
-    def test_threads_flag_gives_identical_manifest(self, tmp_path, segmented):
-        threaded = tmp_path / "threaded.jsonl"
-        code = main(
-            [
-                "segment",
-                "--scenario", "one_delivery",
-                "--backend", "synthetic",
-                "--threads", "4",
-                "--out", str(threaded),
-            ]
-        )
-        assert code == 0
-        assert threaded.read_text(encoding="utf-8") == segmented.read_text(encoding="utf-8")
 
     def test_backend_failure_mid_stream_is_runtime_error(self, tmp_path, capsys):
         # Annotations stop at frame 59 but the source has 80 frames.
@@ -229,6 +223,47 @@ class TestTrackClassify:
         (row,) = read_jsonl(report)
         assert row == {"clip": "clip_0001", "error": "no trajectory"}
 
+    def test_raw_source_not_read_after_segment(self, tmp_path):
+        # track and classify need only the manifest, the trajectories and
+        # the annotations, so the frames may be gone once segment has run.
+        script = script_from_lengths(
+            [
+                (OTHER_VIEW, 40),
+                (FRONT_VIEW, 60, {"delivery": DeliverySpec(bounce_distance_m=7.0)}),
+                (OTHER_VIEW, 40),
+            ],
+            width=160,
+            height=90,
+        )
+        raw = tmp_path / "frames.raw"
+        with open(raw, "wb") as fh:
+            for frame in frame_stream(script):
+                fh.write(frame.luma.tobytes())
+        backend = synthetic_backend(script)
+        ann_path = tmp_path / "ann.jsonl"
+        dump_annotations([backend.by_index(i) for i in range(script.n_frames)], ann_path)
+        common = [
+            "--source", str(raw),
+            "--backend", f"file:{ann_path}",
+            "--fps", "50",
+            "--width", "160",
+            "--height", "90",
+        ]
+        manifest = tmp_path / "m.jsonl"
+        assert main(["segment", *common, "--out", str(manifest)]) == 0
+
+        def track_and_classify(name):
+            traj_dir = tmp_path / name
+            assert main(["track", *common, "--manifest", str(manifest), "--out", str(traj_dir)]) == 0
+            report = tmp_path / f"{name}.jsonl"
+            assert main(["classify", *common, "--trajectories", str(traj_dir), "--out", str(report)]) == 0
+            return [p.read_bytes() for p in sorted(traj_dir.iterdir())], report.read_bytes()
+
+        with_frames = track_and_classify("with_frames")
+        assert [row["type"] for row in read_jsonl(tmp_path / "with_frames.jsonl")] == ["good"]
+        raw.unlink()
+        assert track_and_classify("without_frames") == with_frames
+
     def test_trajectory_round_trip_byte_identical(self, tmp_path, segmented):
         traj_dir = tmp_path / "traj"
         main(
@@ -332,6 +367,16 @@ class TestConfigFile:
         )
         rows = read_jsonl(out)
         assert [(r["start"], r["end"]) for r in rows] == [(50, 149)]
+
+    @pytest.mark.parametrize("key", ["gate.stratgy", "run.threads"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 4\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        code = main(["segment", "--config", str(cfg), "--scenario", "one_delivery", "--out", str(out)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

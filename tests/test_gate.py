@@ -9,7 +9,6 @@ from cricseg.gate import (
     Debouncer,
     GateConfig,
     apply_gate,
-    debounce,
     gate_classifier,
     gate_dual,
     gate_either,
@@ -168,10 +167,16 @@ class TestEvidence:
             apply_gate("histogram", make_annotations(), CFG)
 
 
+def debounce(flags, k):
+    deb = Debouncer(k)
+    events = (deb.push(index, front) for index, front in enumerate(flags))
+    return [e for e in events if e is not None]
+
+
 class TestDebounce:
     def test_k1_mirrors_raw_verdicts(self):
         flags = [True, False, True, True, False]
-        events = list(debounce(enumerate(flags), k=1))
+        events = debounce(flags, k=1)
         assert [(e.kind, e.frame) for e in events] == [
             ("open", 0),
             ("close", 1),
@@ -181,18 +186,18 @@ class TestDebounce:
 
     def test_open_at_third_consecutive_front(self):
         flags = [True, True, False, True, True, True]
-        events = list(debounce(enumerate(flags), k=3))
+        events = debounce(flags, k=3)
         assert len(events) == 1
         assert events[0].kind == "open"
         assert events[0].frame == 5
         assert events[0].run_start == 3
 
     def test_all_not_front_no_events(self):
-        assert list(debounce(enumerate([False] * 10), k=2)) == []
+        assert debounce([False] * 10, k=2) == []
 
     def test_close_after_k_not_front(self):
         flags = [True, True, False, False, True, False, False]
-        events = list(debounce(enumerate(flags), k=2))
+        events = debounce(flags, k=2)
         assert [(e.kind, e.frame, e.run_start) for e in events] == [
             ("open", 1, 0),
             ("close", 3, 2),

@@ -13,7 +13,6 @@ from cricseg.tracker import (
     associate,
     build_trajectory,
     find_bounce,
-    split_phases,
     trajectory_from_obj,
     trajectory_to_obj,
 )
@@ -161,23 +160,6 @@ class TestFindBounce:
         if bounce is not None:
             assert t.points[bounce].row == max(rows)
             assert bounce == [p.row for p in t.points].index(max(rows))
-
-
-class TestSplitPhases:
-    def test_split_around_bounce(self):
-        down, up = split_phases(traj([10, 20, 30, 25]))
-        assert [p.row for p in down] == [10, 20, 30]
-        assert [p.row for p in up] == [25]
-
-    def test_no_bounce_all_descending(self):
-        down, up = split_phases(traj([10, 20, 30, 40]))
-        assert len(down) == 4
-        assert up == ()
-
-    def test_bounce_at_last_point_gives_empty_ascent(self):
-        down, up = split_phases(traj([10, 30, 20, 35]))
-        assert [p.row for p in down] == [10, 30, 20, 35]
-        assert up == ()
 
 
 class TestWireFormat:
