@@ -164,6 +164,8 @@ def _open_frames(cfg: PipelineConfig, script: ScenarioScript | None):
 
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg, _ = _pipeline_config(args)
+    if cfg.backend != "synthetic" and cfg.source is None:
+        raise ConfigError("a file backend needs --source for the frames")
     backend, script = _load_backend(cfg)
     export_dir = Path(args.export_frames) if args.export_frames else None
     frames_by_index = {}
@@ -212,12 +214,29 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_manifest(path: str | Path) -> list[dict]:
+def _read_manifest(path: str | Path) -> list[tuple[int, int]]:
+    """(start, end) of every manifest row; ValueError names path:line."""
     clips = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                clips.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            for key in ("start", "end"):
+                if key not in row:
+                    raise ValueError(f"{where}: missing field '{key}'")
+                value = row[key]
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ValueError(f"{where}: field '{key}' must be a non-negative integer")
+            if row["start"] > row["end"]:
+                raise ValueError(f"{where}: start {row['start']} is after end {row['end']}")
+            clips.append((row["start"], row["end"]))
     return clips
 
 
@@ -235,9 +254,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     clips = _read_manifest(args.manifest)
-    for n, clip in enumerate(clips, start=1):
+    for n, (start, end) in enumerate(clips, start=1):
         per_frame = []
-        for idx in range(int(clip["start"]), int(clip["end"]) + 1):
+        for idx in range(start, end + 1):
             try:
                 ann = backend.by_index(idx)
             except AnnotationError:
@@ -266,10 +285,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise FrameSourceError(f"no trajectory files in {traj_dir}")
     rows = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            trajectory = trajectory_from_obj(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         clip_id = obj.get("clip", path.stem)
-        trajectory = trajectory_from_obj(obj)
         if not trajectory.points or trajectory.bounce_index is None:
             rows.append({"clip": clip_id, "error": "no trajectory"})
             continue
@@ -383,11 +405,10 @@ def _bench_kernels(width: int, height: int, reps: int = 200) -> dict:
     for name in kernels.available_impls():
         impl = kernels.get_impl(name)
         mean = frame.astype(np.float32)
-        mask = np.zeros(frame.shape, dtype=np.bool_)
-        impl.bg_update(mean, frame, 0.05, 25.0, mask, True)  # warm-up
+        impl.bg_update(mean, frame, 0.05, 25.0)  # warm-up
         start = time.perf_counter()
         for _ in range(reps):
-            impl.bg_update(mean, frame, 0.05, 25.0, mask, True)
+            impl.bg_update(mean, frame, 0.05, 25.0)
         wall_ms = (time.perf_counter() - start) * 1000.0
         out[name] = {"bg_update_ms_per_frame": wall_ms / reps}
     return out

@@ -75,8 +75,6 @@ class PipelineConfig:
             path = self.backend[len("file:") :]
             if not Path(path).exists():
                 raise ConfigError(f"annotation file does not exist: {path}")
-            if self.source is None:
-                raise ConfigError("a file backend needs --source for the frames")
         if self.backend == "synthetic" and self.scenario is None:
             raise ConfigError("the synthetic backend needs --scenario")
         if self.fps <= 0:

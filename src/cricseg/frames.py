@@ -26,6 +26,8 @@ class Frame:
 
     Row 0 is the top of the image; row coordinates increase downward.
     Frames are immutable after creation and safe to share across threads.
+    The luma plane is always C-contiguous, as the compiled kernels require;
+    a strided array is copied.
     """
 
     index: int
@@ -39,6 +41,8 @@ class Frame:
             raise ValueError("luma must be a 2-D uint8 array")
         if self.luma.shape[0] == 0 or self.luma.shape[1] == 0:
             raise ValueError("frame dimensions must be positive")
+        if not self.luma.flags.c_contiguous:
+            object.__setattr__(self, "luma", np.ascontiguousarray(self.luma))
         self.luma.flags.writeable = False
 
     @property
@@ -97,7 +101,6 @@ class FrameStream:
     def __init__(self, frames: Iterable[Frame], fps: float) -> None:
         if fps <= 0:
             raise FrameSourceError("fps must be positive")
-        self.fps = fps
         self._it = iter(frames)
         self._next_index = 0
 

@@ -1,18 +1,27 @@
 """Hot per-pixel kernels with a compiled core and a numpy fallback.
 
-The compiled extension (``cricseg.kernels._native``) is used when it was
-built; otherwise the numpy twin takes over transparently. The choice is
-made once at import (``ACTIVE_IMPL``); no config key overrides it, and only
-``cricseg bench --impl`` asks for an implementation by name through
-``get_impl``. Both expose the same two functions and are kept
-behaviourally identical, which the test suite and the ``bench --impl
-both`` comparison enforce. ``band_abs_diff_mean`` is bound here for the
-replay filter; the background update is reached through ``get_impl``.
+The compiled extension (``cricseg.kernels._native``, built from
+``_native.c`` by ``setup.py`` whenever a C compiler is found) is used when
+it was built; otherwise the numpy twin takes over transparently. The
+choice is made once at import (``ACTIVE_IMPL``); no config key overrides
+it, and only ``cricseg bench --impl`` asks for an implementation by name
+through ``get_impl``. Both expose the same two functions:
+
+- ``bg_update(mean, luma, learning_rate, diff_threshold) -> int`` blends a
+  uint8 luma plane into the float32 running mean in place and returns the
+  number of pixels whose absolute deviation from the pre-update mean
+  exceeds ``diff_threshold``.
+- ``band_abs_diff_mean(first, last) -> float`` is the mean absolute
+  difference of two uint8 planes.
+
+Both implementations give bit-identical means and equal counts, which the
+test suite enforces. The compiled one takes 2-D C-contiguous arrays only
+and raises ``ValueError`` on any other shape, dtype or layout.
+``band_abs_diff_mean`` is bound here for the replay filter; the
+background update is reached through ``get_impl``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from cricseg.kernels import _fallback
 
@@ -32,18 +41,14 @@ def available_impls() -> tuple[str, ...]:
 
 
 class _Impl:
-    """Uniform wrapper so callers never deal with buffer dtype details."""
+    """One named kernel implementation."""
 
     def __init__(self, name: str, module) -> None:
         self.name = name
         self._mod = module
 
-    def bg_update(self, mean, luma, learning_rate, diff_threshold, mask, compute_mask=True):
-        if self.name == "native":
-            view = mask.view(np.uint8) if mask.dtype == np.bool_ else mask
-            self._mod.bg_update(mean, luma, learning_rate, diff_threshold, view, compute_mask)
-        else:
-            self._mod.bg_update(mean, luma, learning_rate, diff_threshold, mask, compute_mask)
+    def bg_update(self, mean, luma, learning_rate, diff_threshold) -> int:
+        return self._mod.bg_update(mean, luma, learning_rate, diff_threshold)
 
     def band_abs_diff_mean(self, first, last) -> float:
         return float(self._mod.band_abs_diff_mean(first, last))
@@ -55,7 +60,7 @@ def get_impl(name: str | None = None) -> _Impl:
         name = ACTIVE_IMPL
     if name == "native":
         if not NATIVE_AVAILABLE:
-            raise ValueError("native kernels are not built; reinstall with Cython available")
+            raise ValueError("native kernels are not built; reinstall with a C compiler available")
         return _Impl("native", _native)
     if name == "fallback":
         return _Impl("fallback", _fallback)

@@ -14,20 +14,19 @@ def bg_update(
     luma: np.ndarray,
     learning_rate: float,
     diff_threshold: float,
-    mask: np.ndarray,
-    compute_mask: bool = True,
-) -> None:
-    """Blend one frame into the running background and flag deviating pixels.
+) -> int:
+    """Blend one frame into the running background; count deviating pixels.
 
-    ``mean`` (float32) is updated in place toward ``luma``; when
-    ``compute_mask`` is set, ``mask`` (bool) is filled with pixels whose
-    absolute deviation from the pre-update mean exceeds ``diff_threshold``.
+    ``mean`` (float32) is updated in place toward ``luma``. Returns how
+    many pixels deviate from the pre-update mean by more than
+    ``diff_threshold``.
     """
     diff = luma.astype(np.float32)
     diff -= mean
-    if compute_mask:
-        np.greater(np.abs(diff), diff_threshold, out=mask)
-    mean += learning_rate * diff
+    count = int(np.count_nonzero(np.abs(diff) > diff_threshold))
+    diff *= learning_rate
+    mean += diff
+    return count
 
 
 def band_abs_diff_mean(first: np.ndarray, last: np.ndarray) -> float:

@@ -34,14 +34,6 @@ class ConfusionMatrix:
     def n(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.tn + other.tn,
-        )
-
 
 def confusion(predictions: Iterable[bool], labels: Iterable[bool]) -> ConfusionMatrix:
     """Count the four-way partition of paired prediction/label streams."""

@@ -1,6 +1,6 @@
 """Shot-boundary detection and the clip state machine.
 
-A per-pixel running-average background model flags deviating pixels; a
+A per-pixel running-average background model counts deviating pixels; a
 frame whose foreground fraction exceeds the boundary threshold is a shot
 change. Debounced gate events open clips, and the first boundary (or a
 sustained gate close, whichever comes first) ends them. Each emitted clip
@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,18 +53,24 @@ class BoundaryConfig:
             raise ValueError("min_clip_frames must be >= 1")
 
 
+class Foreground(NamedTuple):
+    """How many of a frame's pixels the background model flagged."""
+
+    count: int
+    pixels: int
+
+
 class BackgroundModel:
     """Per-pixel running average over the luma plane.
 
     The model is warm once it has seen ``init_frames`` frames; the
-    foreground mask is all-false until then.
+    foreground count is 0 until then.
     """
 
     def __init__(self, cfg: BoundaryConfig, kernel_impl: str | None = None) -> None:
         self.cfg = cfg
         self._impl = kernels.get_impl(kernel_impl)
         self._mean: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
         self.seen = 0
 
     @property
@@ -75,40 +81,33 @@ class BackgroundModel:
         self._mean = None
         self.seen = 0
 
-    def update(self, luma: np.ndarray) -> np.ndarray:
-        """Fold one frame in; returns the foreground mask.
+    def update(self, luma: np.ndarray) -> Foreground:
+        """Fold one frame in; returns its foreground count.
 
-        The mask compares against the pre-update mean, so a hard cut
-        lights up the whole mask before the model starts adapting to the
-        new scene.
+        The count compares against the pre-update mean, so a hard cut
+        flags every pixel before the model starts adapting to the new
+        scene.
         """
         if self._mean is None:
             self._mean = luma.astype(np.float32)
-            self._mask = np.zeros(luma.shape, dtype=np.bool_)
             self.seen = 1
-            return self._mask
+            return Foreground(0, luma.size)
         if luma.shape != self._mean.shape:
             raise ValueError(
                 f"frame dimensions {luma.shape} do not match model {self._mean.shape}"
             )
-        compute = self.warm
-        if not compute:
-            self._mask.fill(False)
-        self._impl.bg_update(
-            self._mean,
-            luma,
-            self.cfg.learning_rate,
-            self.cfg.pixel_diff_threshold,
-            self._mask,
-            compute,
+        count = self._impl.bg_update(
+            self._mean, luma, self.cfg.learning_rate, self.cfg.pixel_diff_threshold
         )
+        if not self.warm:
+            count = 0
         self.seen += 1
-        return self._mask
+        return Foreground(count, luma.size)
 
 
-def foreground_fraction(mask: np.ndarray) -> float:
+def foreground_fraction(fg: Foreground) -> float:
     """Share of pixels flagged as foreground."""
-    return float(np.count_nonzero(mask)) / mask.size
+    return fg.count / fg.pixels
 
 
 def detect_boundary(fraction: float, cfg: BoundaryConfig, warm: bool) -> bool:
@@ -225,8 +224,8 @@ def segment(
             recent.popitem(last=False)
 
         was_warm = model.warm
-        mask = model.update(frame.luma)
-        boundary = detect_boundary(foreground_fraction(mask), boundary_cfg, was_warm)
+        fg = model.update(frame.luma)
+        boundary = detect_boundary(foreground_fraction(fg), boundary_cfg, was_warm)
         event = debouncer.push(current, verdict.is_front)
 
         if event is not None and event.kind == "close" and open_clip is not None:

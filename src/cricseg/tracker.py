@@ -50,9 +50,6 @@ class Trajectory:
     def bounce_index(self) -> int | None:
         return find_bounce(self)
 
-    def frames(self) -> tuple[int, ...]:
-        return tuple(p.frame for p in self.points)
-
 
 def associate(
     prev: tuple[float, float],
@@ -137,5 +134,26 @@ def trajectory_to_obj(trajectory: Trajectory) -> dict:
 
 
 def trajectory_from_obj(obj: dict) -> Trajectory:
-    points = tuple(TrackPoint(int(f), float(c), float(r)) for f, c, r in obj["points"])
-    return Trajectory(points)
+    """Inverse of trajectory_to_obj; ValueError names the first bad field."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    if "points" not in obj:
+        raise ValueError("missing field 'points'")
+    if not isinstance(obj["points"], list):
+        raise ValueError("field 'points' must be a list")
+    points = []
+    for i, p in enumerate(obj["points"]):
+        if not (
+            isinstance(p, list)
+            and len(p) == 3
+            and isinstance(p[0], int)
+            and p[0] >= 0
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in p[1:])
+            and not any(isinstance(v, bool) for v in p)
+        ):
+            raise ValueError(
+                f"points[{i}] must be [frame, col, row]: a non-negative integer "
+                "and two finite numbers"
+            )
+        points.append(TrackPoint(p[0], float(p[1]), float(p[2])))
+    return Trajectory(tuple(points))

@@ -33,6 +33,51 @@ def segmented(tmp_path):
     return manifest
 
 
+class RawRun:
+    """A raw-luma file plus a JSONL annotation file, already segmented."""
+
+    def __init__(self, tmp):
+        script = script_from_lengths(
+            [
+                (OTHER_VIEW, 40),
+                (FRONT_VIEW, 60, {"delivery": DeliverySpec(bounce_distance_m=7.0)}),
+                (OTHER_VIEW, 40),
+            ],
+            width=160,
+            height=90,
+        )
+        self.tmp = tmp
+        self.raw = tmp / "frames.raw"
+        with open(self.raw, "wb") as fh:
+            for frame in frame_stream(script):
+                fh.write(frame.luma.tobytes())
+        backend = synthetic_backend(script)
+        ann_path = tmp / "ann.jsonl"
+        dump_annotations([backend.by_index(i) for i in range(script.n_frames)], ann_path)
+        self.common = [
+            "--source", str(self.raw),
+            "--backend", f"file:{ann_path}",
+            "--fps", "50",
+            "--width", "160",
+            "--height", "90",
+        ]
+        self.manifest = tmp / "m.jsonl"
+        assert main(["segment", *self.common, "--out", str(self.manifest)]) == 0
+
+    def track_and_classify(self, name, common):
+        """Bytes of the trajectory files and of the report."""
+        traj_dir = self.tmp / name
+        assert main(["track", *common, "--manifest", str(self.manifest), "--out", str(traj_dir)]) == 0
+        report = self.tmp / f"{name}.jsonl"
+        assert main(["classify", *common, "--trajectories", str(traj_dir), "--out", str(report)]) == 0
+        return [p.read_bytes() for p in sorted(traj_dir.iterdir())], report.read_bytes()
+
+
+@pytest.fixture()
+def raw_run(tmp_path):
+    return RawRun(tmp_path)
+
+
 class TestSegment:
     def test_one_delivery_manifest(self, segmented):
         rows = read_jsonl(segmented)
@@ -223,46 +268,71 @@ class TestTrackClassify:
         (row,) = read_jsonl(report)
         assert row == {"clip": "clip_0001", "error": "no trajectory"}
 
-    def test_raw_source_not_read_after_segment(self, tmp_path):
+    def test_raw_source_not_read_after_segment(self, raw_run):
         # track and classify need only the manifest, the trajectories and
         # the annotations, so the frames may be gone once segment has run.
-        script = script_from_lengths(
-            [
-                (OTHER_VIEW, 40),
-                (FRONT_VIEW, 60, {"delivery": DeliverySpec(bounce_distance_m=7.0)}),
-                (OTHER_VIEW, 40),
-            ],
-            width=160,
-            height=90,
-        )
-        raw = tmp_path / "frames.raw"
-        with open(raw, "wb") as fh:
-            for frame in frame_stream(script):
-                fh.write(frame.luma.tobytes())
-        backend = synthetic_backend(script)
-        ann_path = tmp_path / "ann.jsonl"
-        dump_annotations([backend.by_index(i) for i in range(script.n_frames)], ann_path)
-        common = [
-            "--source", str(raw),
-            "--backend", f"file:{ann_path}",
-            "--fps", "50",
-            "--width", "160",
-            "--height", "90",
-        ]
-        manifest = tmp_path / "m.jsonl"
-        assert main(["segment", *common, "--out", str(manifest)]) == 0
+        with_frames = raw_run.track_and_classify("with_frames", raw_run.common)
+        assert [row["type"] for row in read_jsonl(raw_run.tmp / "with_frames.jsonl")] == ["good"]
+        raw_run.raw.unlink()
+        assert raw_run.track_and_classify("without_frames", raw_run.common) == with_frames
 
-        def track_and_classify(name):
-            traj_dir = tmp_path / name
-            assert main(["track", *common, "--manifest", str(manifest), "--out", str(traj_dir)]) == 0
-            report = tmp_path / f"{name}.jsonl"
-            assert main(["classify", *common, "--trajectories", str(traj_dir), "--out", str(report)]) == 0
-            return [p.read_bytes() for p in sorted(traj_dir.iterdir())], report.read_bytes()
+    def test_track_and_classify_need_no_source(self, raw_run):
+        with_source = raw_run.track_and_classify("with_source", raw_run.common)
+        without = [a for a in raw_run.common if a not in ("--source", str(raw_run.raw))]
+        assert raw_run.track_and_classify("without_source", without) == with_source
 
-        with_frames = track_and_classify("with_frames")
-        assert [row["type"] for row in read_jsonl(tmp_path / "with_frames.jsonl")] == ["good"]
-        raw.unlink()
-        assert track_and_classify("without_frames") == with_frames
+    def test_segment_file_backend_needs_source(self, raw_run, capsys):
+        without = [a for a in raw_run.common if a not in ("--source", str(raw_run.raw))]
+        out = raw_run.tmp / "again.jsonl"
+        assert main(["segment", *without, "--out", str(out)]) == 1
+        assert "--source" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row,field",
+        [
+            ('{"begin":0}', "'start'"),
+            ('{"start":0}', "'end'"),
+            ('{"start":0,"end":"9"}', "'end'"),
+            ('{"start":true,"end":9}', "'start'"),
+            ('{"start":9,"end":3}', "after end"),
+            ("[0, 9]", "JSON object"),
+            ('{"start":0,', "invalid JSON"),
+        ],
+    )
+    def test_malformed_manifest_is_located_runtime_error(self, raw_run, capsys, row, field):
+        manifest = raw_run.tmp / "bad.jsonl"
+        manifest.write_text('{"start":50,"end":60}\n\n' + row + "\n", encoding="utf-8")
+        code = main(["track", *raw_run.common, "--manifest", str(manifest),
+                     "--out", str(raw_run.tmp / "traj")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:3:" in err and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            ('{"pts":[]}', "'points'"),
+            ('{"points":{}}', "'points'"),
+            ('{"points":[[0,1.0,2.0],[1,2.0]]}', "points[1]"),
+            ('{"points":[[0,1.0,2.0],[1.5,2.0,3.0]]}', "points[1]"),
+            ('{"points":[[0,NaN,2.0]]}', "points[0]"),
+            ("[]", "JSON object"),
+            ('{"points":', "line 2 column 1"),
+        ],
+    )
+    def test_malformed_trajectory_is_located_runtime_error(self, raw_run, capsys, obj, field):
+        traj_dir = raw_run.tmp / "traj"
+        traj_dir.mkdir()
+        path = traj_dir / "clip_0001.json"
+        path.write_text(obj + "\n", encoding="utf-8")
+        code = main(["classify", *raw_run.common, "--trajectories", str(traj_dir),
+                     "--out", str(raw_run.tmp / "report.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and field in err
+        assert "Traceback" not in err
 
     def test_trajectory_round_trip_byte_identical(self, tmp_path, segmented):
         traj_dir = tmp_path / "traj"

@@ -40,6 +40,13 @@ class TestFrame:
         with pytest.raises(ValueError):
             frame.luma[0, 0] = 1
 
+    def test_strided_luma_is_made_contiguous(self):
+        # The compiled kernels take C-contiguous planes only.
+        arr = np.arange(48, dtype=np.uint8).reshape(4, 12)
+        frame = Frame(0, 0.0, arr[:, ::-2])
+        assert frame.luma.flags.c_contiguous
+        np.testing.assert_array_equal(frame.luma, arr[:, ::-2])
+
 
 class TestCrop:
     def test_table_percentages(self):

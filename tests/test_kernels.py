@@ -1,21 +1,59 @@
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cricseg import kernels
+from cricseg.scenario import bundled_scripts, frame_stream, load_script, synthetic_backend
+from cricseg.segmenter import segment
 
-needs_native = pytest.mark.skipif(
-    not kernels.NATIVE_AVAILABLE, reason="compiled kernels not built"
-)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def reference_bg_update(mean, luma, lr, thresh):
     """Straight-line numpy oracle, independent of both implementations."""
     diff = luma.astype(np.float64) - mean.astype(np.float64)
-    mask = np.abs(diff) > thresh
+    count = int((np.abs(diff) > thresh).sum())
     new_mean = mean.astype(np.float64) + lr * diff
-    return new_mean, mask
+    return new_mean, count
+
+
+@pytest.fixture(scope="module")
+def built_native(tmp_path_factory):
+    """``_native.c`` built by ``setup.py build_ext`` into a scratch directory."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) found")
+    tmp = tmp_path_factory.mktemp("native")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = tmp / "lib" / "cricseg" / "kernels" / f"_native{suffix}"
+    assert path.is_file(), f"setup.py built no extension:\n{proc.stdout}{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("_native", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return kernels._Impl("native", module)
+
+
+@pytest.fixture()
+def native_selected(built_native, monkeypatch):
+    """Make ``get_impl("native")`` hand out the freshly built module."""
+    monkeypatch.setattr(kernels, "_native", built_native._mod)
+    monkeypatch.setattr(kernels, "NATIVE_AVAILABLE", True)
 
 
 class TestFallback:
@@ -23,11 +61,9 @@ class TestFallback:
         rng = np.random.default_rng(0)
         impl = kernels.get_impl("fallback")
         mean = rng.uniform(0, 255, size=(37, 53)).astype(np.float32)
-        mask = np.zeros(mean.shape, dtype=np.bool_)
         luma = rng.integers(0, 256, size=mean.shape, dtype=np.uint8)
-        want_mean, want_mask = reference_bg_update(mean.copy(), luma, 0.05, 25.0)
-        impl.bg_update(mean, luma, 0.05, 25.0, mask, True)
-        np.testing.assert_array_equal(mask, want_mask)
+        want_mean, want_count = reference_bg_update(mean.copy(), luma, 0.05, 25.0)
+        assert impl.bg_update(mean, luma, 0.05, 25.0) == want_count
         np.testing.assert_allclose(mean, want_mean, atol=1e-3)
 
     def test_band_diff_matches_reference(self):
@@ -38,50 +74,91 @@ class TestFallback:
         want = np.abs(a.astype(int) - b.astype(int)).mean()
         assert impl.band_abs_diff_mean(a, b) == pytest.approx(want)
 
-    def test_compute_mask_false_skips_mask(self):
+    def test_returns_count_and_updates_mean(self):
         impl = kernels.get_impl("fallback")
         mean = np.zeros((4, 4), dtype=np.float32)
-        mask = np.zeros((4, 4), dtype=np.bool_)
         luma = np.full((4, 4), 200, dtype=np.uint8)
-        impl.bg_update(mean, luma, 0.1, 25.0, mask, False)
-        assert not mask.any()
+        assert impl.bg_update(mean, luma, 0.1, 25.0) == 16
         assert mean[0, 0] == pytest.approx(20.0)
 
 
-@needs_native
 class TestNativeEquivalence:
-    def test_repeated_updates_agree(self):
+    @pytest.mark.parametrize("shape", [(90, 160), (360, 640), (37, 53)])
+    def test_repeated_updates_agree(self, built_native, shape):
         rng = np.random.default_rng(2)
-        native = kernels.get_impl("native")
         fallback = kernels.get_impl("fallback")
-        shape = (45, 61)
         mean_n = rng.uniform(0, 255, size=shape).astype(np.float32)
         mean_f = mean_n.copy()
-        mask_n = np.zeros(shape, dtype=np.bool_)
-        mask_f = np.zeros(shape, dtype=np.bool_)
-        for _ in range(20):
-            luma = rng.integers(0, 256, size=shape, dtype=np.uint8)
-            native.bg_update(mean_n, luma, 0.05, 25.0, mask_n, True)
-            fallback.bg_update(mean_f, luma, 0.05, 25.0, mask_f, True)
-            np.testing.assert_array_equal(mask_n, mask_f)
-            np.testing.assert_allclose(mean_n, mean_f, atol=1e-3)
+        # A static scene with noise plus occasional cuts, so counts span
+        # everything from none to all pixels.
+        scene = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        for step in range(30):
+            if step % 10 == 9:
+                scene = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            noise = rng.integers(-30, 31, size=shape)
+            luma = np.clip(scene + noise, 0, 255).astype(np.uint8)
+            count_n = built_native.bg_update(mean_n, luma, 0.05, 25.0)
+            count_f = fallback.bg_update(mean_f, luma, 0.05, 25.0)
+            assert count_n == count_f
+            assert mean_n.tobytes() == mean_f.tobytes()
 
-    def test_band_diff_agrees(self):
+    def test_threshold_rounds_like_numpy(self, built_native):
+        # float32(0.1) > 0.1: a deviation of exactly float32(0.1) must not
+        # count in either implementation.
+        fallback = kernels.get_impl("fallback")
+        means = [np.full((2, 3), 0.1, dtype=np.float32) for _ in range(2)]
+        luma = np.zeros((2, 3), dtype=np.uint8)
+        counts = [impl.bg_update(m, luma, 0.5, 0.1) for impl, m in zip((built_native, fallback), means)]
+        assert counts == [0, 0]
+        assert means[0].tobytes() == means[1].tobytes()
+
+    def test_band_diff_agrees(self, built_native):
         rng = np.random.default_rng(3)
-        native = kernels.get_impl("native")
         fallback = kernels.get_impl("fallback")
         a = rng.integers(0, 256, size=(9, 200), dtype=np.uint8)
         b = rng.integers(0, 256, size=(9, 200), dtype=np.uint8)
-        assert native.band_abs_diff_mean(a, b) == pytest.approx(
-            fallback.band_abs_diff_mean(a, b)
-        )
+        assert built_native.band_abs_diff_mean(a, b) == fallback.band_abs_diff_mean(a, b)
 
-    def test_shape_mismatch_raises(self):
-        native = kernels.get_impl("native")
-        mean = np.zeros((4, 4), dtype=np.float32)
-        mask = np.zeros((4, 4), dtype=np.bool_)
+    @pytest.mark.parametrize(
+        "mean,luma",
+        [
+            (np.zeros((4, 4), np.float32), np.zeros((4, 5), np.uint8)),
+            (np.zeros((4, 4), np.float64), np.zeros((4, 4), np.uint8)),
+            (np.zeros((4, 4), np.float32), np.zeros((4, 4), np.int8)),
+            (np.zeros((4, 4), np.float32), np.zeros((4, 4), np.uint16)),
+            (np.zeros(16, np.float32), np.zeros(16, np.uint8)),
+            (np.zeros((4, 8), np.float32)[:, ::2], np.zeros((4, 4), np.uint8)),
+            (np.zeros((4, 4), np.float32), np.zeros((4, 4), np.uint8).T[::-1]),
+        ],
+        ids=["shape", "mean-dtype", "luma-dtype", "luma-itemsize", "ndim",
+             "mean-strided", "luma-reversed"],
+    )
+    def test_bg_update_rejects_bad_buffers(self, built_native, mean, luma):
         with pytest.raises(ValueError):
-            native.bg_update(mean, np.zeros((4, 5), dtype=np.uint8), 0.1, 25.0, mask, True)
+            built_native.bg_update(mean, luma, 0.1, 25.0)
+
+    def test_bg_update_rejects_read_only_mean(self, built_native):
+        mean = np.zeros((4, 4), np.float32)
+        mean.flags.writeable = False
+        with pytest.raises(ValueError):
+            built_native.bg_update(mean, np.zeros((4, 4), np.uint8), 0.1, 25.0)
+
+    def test_band_diff_rejects_bad_buffers(self, built_native):
+        a = np.zeros((3, 8), np.uint8)
+        for other in (np.zeros((3, 7), np.uint8), np.zeros((3, 8), np.int16),
+                      np.zeros((3, 16), np.uint8)[:, ::2]):
+            with pytest.raises(ValueError):
+                built_native.band_abs_diff_mean(a, other)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
+    def test_bundled_manifests_agree(self, native_selected, name):
+        script = load_script(bundled_scripts()[name])
+
+        def clips(impl):
+            return list(segment(frame_stream(script), synthetic_backend(script), script.fps,
+                                kernel_impl=impl))
+
+        assert clips("native") == clips("fallback")
 
 
 class TestSelection:

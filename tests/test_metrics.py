@@ -49,8 +49,12 @@ class TestConfusion:
             ConfusionMatrix(tp=-1)
 
     def test_componentwise_merge(self):
-        total = ConfusionMatrix(1, 2, 3, 4) + ConfusionMatrix(10, 20, 30, 40)
-        assert total == ConfusionMatrix(11, 22, 33, 44)
+        first = ([True, True, False, False], [True, False, True, False])
+        second = ([True] * 3 + [False] * 5, [True, False, False, True, True, False, False, False])
+        parts = [confusion(*first), confusion(*second)]
+        whole = confusion(first[0] + second[0], first[1] + second[1])
+        for name in ("tp", "fp", "fn", "tn"):
+            assert getattr(whole, name) == sum(getattr(cm, name) for cm in parts)
 
 
 class TestPublishedTables:

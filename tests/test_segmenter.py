@@ -12,6 +12,7 @@ from cricseg.segmenter import (
     BackgroundModel,
     BoundaryConfig,
     Clip,
+    Foreground,
     SegmentationError,
     detect_boundary,
     foreground_fraction,
@@ -44,8 +45,7 @@ class TestBackgroundModel:
         rng = np.random.default_rng(0)
         for i in range(CFG.init_frames):
             luma = rng.integers(0, 256, size=(20, 30), dtype=np.uint8)
-            mask = model.update(luma)
-            assert not mask.any()
+            assert model.update(luma) == Foreground(0, 600)
 
     def test_stationary_background_fraction_decays(self):
         model = BackgroundModel(CFG)
@@ -60,8 +60,9 @@ class TestBackgroundModel:
         a = np.full((20, 30), 20, dtype=np.uint8)
         for _ in range(CFG.init_frames + 1):
             model.update(a)
-        mask = model.update(np.full((20, 30), 220, dtype=np.uint8))
-        assert foreground_fraction(mask) == 1.0
+        fg = model.update(np.full((20, 30), 220, dtype=np.uint8))
+        assert fg == Foreground(600, 600)
+        assert foreground_fraction(fg) == 1.0
 
     def test_dimension_mismatch(self):
         model = BackgroundModel(CFG)
@@ -72,8 +73,7 @@ class TestBackgroundModel:
     def test_update_background_wrapper(self):
         model = BackgroundModel(CFG)
         frame = Frame(0, 0.0, np.zeros((8, 8), dtype=np.uint8))
-        mask = model.update(frame.luma)
-        assert mask.shape == (8, 8)
+        assert model.update(frame.luma) == Foreground(0, 64)
 
     def test_reset_forgets_scene(self):
         model = BackgroundModel(CFG)
@@ -86,14 +86,17 @@ class TestBackgroundModel:
 
 class TestForegroundFraction:
     def test_all_false(self):
-        assert foreground_fraction(np.zeros((4, 4), dtype=bool)) == 0.0
+        assert foreground_fraction(Foreground(0, 16)) == 0.0
 
     def test_all_true(self):
-        assert foreground_fraction(np.ones((4, 4), dtype=bool)) == 1.0
+        assert foreground_fraction(Foreground(16, 16)) == 1.0
 
     def test_checkerboard(self):
-        mask = np.indices((4, 4)).sum(axis=0) % 2 == 0
-        assert foreground_fraction(mask) == 0.5
+        model = BackgroundModel(CFG)
+        for _ in range(CFG.init_frames + 1):
+            model.update(np.zeros((4, 4), dtype=np.uint8))
+        checkerboard = (np.indices((4, 4)).sum(axis=0) % 2 * 255).astype(np.uint8)
+        assert foreground_fraction(model.update(checkerboard)) == 0.5
 
 
 class TestDetectBoundary:

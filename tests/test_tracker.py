@@ -70,7 +70,7 @@ class TestBuildTrajectory:
     def test_clean_arc(self):
         per_frame = [(i, [BallCandidate(i, (100.0 + 3 * i, 50.0 + 10 * i))]) for i in range(8)]
         out = build_trajectory(per_frame, CFG)
-        assert out.frames() == tuple(range(8))
+        assert tuple(p.frame for p in out.points) == tuple(range(8))
 
     def test_seed_highest_confidence(self):
         per_frame = [
@@ -100,7 +100,7 @@ class TestBuildTrajectory:
         per_frame += [(i, []) for i in range(5, 12)]
         per_frame += [(12, [BallCandidate(12, (110.0, 100.0))])]
         out = build_trajectory(per_frame, CFG)
-        assert out.frames() == (0, 1, 2, 3, 4)
+        assert tuple(p.frame for p in out.points) == (0, 1, 2, 3, 4)
 
     def test_short_gap_is_bridged_without_interpolation(self):
         per_frame = [
@@ -109,7 +109,7 @@ class TestBuildTrajectory:
             (2, [BallCandidate(2, (120, 100))]),
         ]
         out = build_trajectory(per_frame, CFG)
-        assert out.frames() == (0, 2)
+        assert tuple(p.frame for p in out.points) == (0, 2)
 
     def test_no_candidates_gives_empty_trajectory(self):
         out = build_trajectory([(i, []) for i in range(10)], CFG)
