@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -36,7 +37,8 @@ class AnnotationLoadError(Exception):
 class Detection:
     """One detected object box in full-frame pixel coordinates.
 
-    ``box`` is (x, y, w, h) with y measured from the top of the frame.
+    ``box`` is (x, y, w, h) with y measured from the top of the frame;
+    every value must be finite.
     """
 
     label: str
@@ -47,6 +49,8 @@ class Detection:
         if self.label not in OBJECT_LABELS:
             raise ValueError(f"unknown object label: {self.label!r}")
         x, y, w, h = self.box
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            raise ValueError("detection box values must be finite")
         if w <= 0 or h <= 0:
             raise ValueError("detection box must have positive width and height")
         if x < 0 or y < 0:

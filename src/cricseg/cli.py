@@ -29,7 +29,7 @@ from cricseg.config import (
     build_pipeline_config,
     load_config_file,
 )
-from cricseg.frames import FrameSourceError, open_source, write_pgm
+from cricseg.frames import FrameSourceError, open_source
 from cricseg.geometry import DELIVERY_WIRE, GeometryError, classify_clip_delivery
 from cricseg.metrics import (
     ConfusionMatrix,
@@ -52,7 +52,7 @@ from cricseg.scenario import (
     script_from_lengths,
     synthetic_backend,
 )
-from cricseg.segmenter import SegmentationError, run_segmentation
+from cricseg.segmenter import ClipExport, SegmentationError, run_segmentation
 from cricseg.tracker import (
     BallCandidate,
     TrackerConfig,
@@ -167,25 +167,17 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if cfg.backend != "synthetic" and cfg.source is None:
         raise ConfigError("a file backend needs --source for the frames")
     backend, script = _load_backend(cfg)
-    export_dir = Path(args.export_frames) if args.export_frames else None
-    frames_by_index = {}
-    if export_dir is not None:
-        export_dir.mkdir(parents=True, exist_ok=True)
-
-    def tee(stream):
-        for f in stream:
-            frames_by_index[f.index] = f
-            yield f
-
+    export = ClipExport(args.export_frames) if args.export_frames else None
     with _open_frames(cfg, script) as (stream, fps):
         run = run_segmentation(
-            stream if export_dir is None else tee(stream),
+            stream,
             backend,
             fps,
             gate_cfg=cfg.gate,
             boundary_cfg=cfg.boundary,
             replay_cfg=cfg.replay,
             strategy=cfg.strategy,
+            export=export,
         )
     with open(args.out, "w", encoding="utf-8") as fh:
         for clip in run.clips:
@@ -201,12 +193,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
-    if export_dir is not None:
-        for n, clip in enumerate(run.clips, start=1):
-            clip_dir = export_dir / f"clip_{n:04d}"
-            clip_dir.mkdir(exist_ok=True)
-            for idx in range(clip.start, clip.end + 1):
-                write_pgm(frames_by_index[idx].luma, clip_dir / f"{idx:06d}.pgm")
     print(
         f"segment: {run.frames_processed} frames -> {len(run.clips)} clips "
         f"({run.wall_ms / max(run.frames_processed, 1):.2f} ms/frame)"

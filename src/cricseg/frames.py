@@ -3,7 +3,8 @@
 Frames are 8-bit luma rasters with a strictly increasing, gapless index
 and a timestamp derived from the declared fps. Sources are an image
 directory (numbered PGM/PNG files) or a headerless raw-luma pipe; codec
-decoding is left to external tooling.
+decoding is left to external tooling. Readers do not copy pixels: a
+frame's ``luma`` may be a read-only view of the bytes read from the source.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class Frame:
     Row 0 is the top of the image; row coordinates increase downward.
     Frames are immutable after creation and safe to share across threads.
     The luma plane is always C-contiguous, as the compiled kernels require;
-    a strided array is copied.
+    a strided array is copied. It is read-only, and may be a view of the
+    source's bytes rather than an array of its own.
     """
 
     index: int
@@ -135,11 +137,11 @@ def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
 
 
 def write_pgm(luma: np.ndarray, path: str | Path) -> None:
-    """Write a luma plane as binary (P5) PGM."""
+    """Write a luma plane as binary (P5) PGM, straight from its buffer."""
     h, w = luma.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(luma, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(luma, dtype=np.uint8))
 
 
 _NUMBERED = re.compile(r"(\d+)\.(pgm|png)$", re.IGNORECASE)
@@ -173,7 +175,7 @@ def _read_pgm(path: Path) -> np.ndarray:
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     if pixels.size != width * height:
         raise FrameSourceError(f"{path}: truncated pixel data")
-    return pixels.reshape(height, width).copy()
+    return pixels.reshape(height, width)
 
 
 def _read_png(path: Path) -> np.ndarray:
@@ -213,7 +215,7 @@ def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarr
             raise FrameSourceError(
                 f"raw stream truncated: got {len(buf)} of {nbytes} bytes"
             )
-        yield np.frombuffer(buf, dtype=np.uint8).reshape(height, width).copy()
+        yield np.frombuffer(buf, dtype=np.uint8).reshape(height, width)
 
 
 def open_source(

@@ -5,7 +5,8 @@ The compiled extension (``cricseg.kernels._native``, built from
 it was built; otherwise the numpy twin takes over transparently. The
 choice is made once at import (``ACTIVE_IMPL``); no config key overrides
 it, and only ``cricseg bench --impl`` asks for an implementation by name
-through ``get_impl``. Both expose the same two functions:
+through ``get_impl``. Both expose the same two functions, and every stage
+reaches them through the one ``_Impl`` that ``segment()`` holds:
 
 - ``bg_update(mean, luma, learning_rate, diff_threshold) -> int`` blends a
   uint8 luma plane into the float32 running mean in place and returns the
@@ -17,8 +18,6 @@ through ``get_impl``. Both expose the same two functions:
 Both implementations give bit-identical means and equal counts, which the
 test suite enforces. The compiled one takes 2-D C-contiguous arrays only
 and raises ``ValueError`` on any other shape, dtype or layout.
-``band_abs_diff_mean`` is bound here for the replay filter; the
-background update is reached through ``get_impl``.
 """
 
 from __future__ import annotations
@@ -65,6 +64,3 @@ def get_impl(name: str | None = None) -> _Impl:
     if name == "fallback":
         return _Impl("fallback", _fallback)
     raise ValueError(f"unknown kernel implementation: {name!r}")
-
-
-band_abs_diff_mean = get_impl().band_abs_diff_mean

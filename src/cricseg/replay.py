@@ -28,23 +28,30 @@ class ReplayConfig:
             raise ValueError("mean_abs_diff_threshold must be >= 0")
 
 
-def band_difference(first: Frame, last: Frame, band: BandSpec) -> float:
+def band_difference(
+    first: Frame, last: Frame, band: BandSpec, impl: kernels._Impl | None = None
+) -> float:
     """Mean absolute luma difference over the bottom band, in [0, 255].
 
-    Symmetric in its two arguments.
+    Symmetric in its two arguments. ``impl`` is the kernel implementation
+    to use; the active one by default.
     """
     if first.luma.shape != last.luma.shape:
         raise ValueError("frames differ in dimensions")
     r0, r1 = band.rows(first.height)
-    return kernels.band_abs_diff_mean(first.luma[r0:r1], last.luma[r0:r1])
+    impl = impl or kernels.get_impl()
+    return impl.band_abs_diff_mean(first.luma[r0:r1], last.luma[r0:r1])
 
 
-def classify_liveness(frames: Sequence[Frame], cfg: ReplayConfig) -> str:
+def classify_liveness(
+    frames: Sequence[Frame], cfg: ReplayConfig, impl: kernels._Impl | None = None
+) -> str:
     """Label a clip from its frames; needs at least two to decide.
 
-    Only the endpoints are compared.
+    Only the endpoints are compared, with the kernel ``impl``.
     """
     if len(frames) < 2:
         return UNDETERMINED
-    static = band_difference(frames[0], frames[-1], cfg.band) <= cfg.mean_abs_diff_threshold
+    diff = band_difference(frames[0], frames[-1], cfg.band, impl)
+    static = diff <= cfg.mean_abs_diff_threshold
     return LIVE if static else REPLAY

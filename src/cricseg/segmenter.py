@@ -4,7 +4,9 @@ A per-pixel running-average background model counts deviating pixels; a
 frame whose foreground fraction exceeds the boundary threshold is a shot
 change. Debounced gate events open clips, and the first boundary (or a
 sustained gate close, whichever comes first) ends them. Each emitted clip
-carries a live/replay verdict from the scorecard band check.
+carries a live/replay verdict from the scorecard band check. Only the
+frames of a short lookback window are held; an optional export sink gets
+each clip frame as soon as its clip membership is final.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from cricseg import kernels
 from cricseg.backend import AnnotationError, Backend
-from cricseg.frames import Frame
+from cricseg.frames import Frame, write_pgm
 from cricseg.gate import Debouncer, GateConfig, GateVerdict, apply_gate
 from cricseg.replay import ReplayConfig, UNDETERMINED, classify_liveness
 
@@ -69,7 +72,7 @@ class BackgroundModel:
 
     def __init__(self, cfg: BoundaryConfig, kernel_impl: str | None = None) -> None:
         self.cfg = cfg
-        self._impl = kernels.get_impl(kernel_impl)
+        self.impl = kernels.get_impl(kernel_impl)
         self._mean: np.ndarray | None = None
         self.seen = 0
 
@@ -96,7 +99,7 @@ class BackgroundModel:
             raise ValueError(
                 f"frame dimensions {luma.shape} do not match model {self._mean.shape}"
             )
-        count = self._impl.bg_update(
+        count = self.impl.bg_update(
             self._mean, luma, self.cfg.learning_rate, self.cfg.pixel_diff_threshold
         )
         if not self.warm:
@@ -135,6 +138,44 @@ class Clip:
         return self.end - self.start + 1
 
 
+class ClipExport:
+    """Writes clip frames as ``clip_NNNN/NNNNNN.pgm`` under a directory.
+
+    ``segment()`` calls ``write`` with the frames of clip ``clip``
+    (numbered from 1 in emission order) in index order, each once, and
+    ``discard`` for the clip in progress when it will not be emitted; the
+    next clip then reuses its number. Discarding removes the clip's files
+    and its directory, unless that directory was there before.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._clip = 0
+        self._written: list[Path] = []
+        self._made_dir: Path | None = None
+
+    def write(self, clip: int, frame: Frame) -> None:
+        clip_dir = self.directory / f"clip_{clip:04d}"
+        if clip != self._clip:
+            self._clip, self._written, self._made_dir = clip, [], None
+            if not clip_dir.is_dir():
+                clip_dir.mkdir()
+                self._made_dir = clip_dir
+        path = clip_dir / f"{frame.index:06d}.pgm"
+        write_pgm(frame.luma, path)
+        self._written.append(path)
+
+    def discard(self, clip: int) -> None:
+        if clip != self._clip:
+            return
+        for path in self._written:
+            path.unlink(missing_ok=True)
+        if self._made_dir is not None:
+            self._made_dir.rmdir()
+        self._clip, self._written, self._made_dir = 0, [], None
+
+
 @dataclass
 class _OpenClip:
     start: int
@@ -159,6 +200,7 @@ def segment(
     strategy: str = "dual",
     kernel_impl: str | None = None,
     on_frame: Callable[[int], None] | None = None,
+    export: ClipExport | None = None,
 ) -> Iterator[Clip]:
     """Run the full gate + boundary state machine over a frame stream.
 
@@ -168,6 +210,10 @@ def segment(
     background model resets at every boundary. Emitted clips are disjoint,
     ordered, and at least min_clip_frames long. Backend errors abort the
     clip in progress and surface with the frame index.
+
+    With ``export``, a clip frame is written once it leaves the lookback
+    window of an open clip, and the rest when the clip closes; a clip that
+    is dropped or aborted is discarded from the export.
     """
     gate_cfg = gate_cfg or GateConfig()
     boundary_cfg = boundary_cfg or BoundaryConfig()
@@ -181,21 +227,29 @@ def segment(
     recent: OrderedDict[int, tuple[Frame, GateVerdict]] = OrderedDict()
     lookback = gate_cfg.debounce_k + 2
     current = -1
+    emitted = 0
 
     def close(end_index: int) -> Clip | None:
         """Close the open clip at end_index; None when nothing to emit."""
-        nonlocal open_clip
+        nonlocal open_clip, emitted
         state, open_clip = open_clip, None
-        if state is None or end_index < state.start:
+        if state is None:
+            return None
+        length = end_index - state.start + 1
+        if length < boundary_cfg.min_clip_frames:
+            if export is not None:
+                export.discard(emitted + 1)
             return None
         for idx in range(end_index + 1, state.counted_up_to + 1):
             state.count(idx, recent[idx][1], sign=-1)
-        length = end_index - state.start + 1
-        if length < boundary_cfg.min_clip_frames:
-            return None
+        if export is not None:
+            # Frames that already left the lookback window were written then.
+            for idx in range(max(state.start, next(iter(recent))), end_index + 1):
+                export.write(emitted + 1, recent[idx][0])
+        emitted += 1
         last_frame = recent[end_index][0]
         liveness = (
-            classify_liveness([state.first_frame, last_frame], replay_cfg)
+            classify_liveness([state.first_frame, last_frame], replay_cfg, model.impl)
             if length >= 2
             else UNDETERMINED
         )
@@ -211,48 +265,59 @@ def segment(
         for idx in range(start_index, current + 1):
             open_clip.count(idx, recent[idx][1])
 
-    for frame in frames:
-        try:
-            annotations = backend.annotate(frame)
-        except AnnotationError as exc:
-            raise SegmentationError("backend", exc.frame_index, str(exc)) from exc
+    try:
+        for frame in frames:
+            try:
+                annotations = backend.annotate(frame)
+            except AnnotationError as exc:
+                raise SegmentationError("backend", exc.frame_index, str(exc)) from exc
 
-        current = frame.index
-        verdict = apply_gate(strategy, annotations, gate_cfg)
-        recent[current] = (frame, verdict)
-        while len(recent) > lookback:
-            recent.popitem(last=False)
+            current = frame.index
+            verdict = apply_gate(strategy, annotations, gate_cfg)
+            recent[current] = (frame, verdict)
+            while len(recent) > lookback:
+                # An open clip's end never falls before a frame leaving the
+                # window, so a frame from its start on is final here.
+                oldest = next(iter(recent))
+                if export is not None and open_clip is not None and oldest >= open_clip.start:
+                    export.write(emitted + 1, recent[oldest][0])
+                del recent[oldest]
 
-        was_warm = model.warm
-        fg = model.update(frame.luma)
-        boundary = detect_boundary(foreground_fraction(fg), boundary_cfg, was_warm)
-        event = debouncer.push(current, verdict.is_front)
+            was_warm = model.warm
+            fg = model.update(frame.luma)
+            boundary = detect_boundary(foreground_fraction(fg), boundary_cfg, was_warm)
+            event = debouncer.push(current, verdict.is_front)
 
-        if event is not None and event.kind == "close" and open_clip is not None:
-            clip = close(event.run_start - 1)
-            if clip is not None:
-                yield clip
-        if boundary:
-            if open_clip is not None:
-                clip = close(current - 1)
+            if event is not None and event.kind == "close" and open_clip is not None:
+                clip = close(event.run_start - 1)
                 if clip is not None:
                     yield clip
-            model.reset()
-            model.update(frame.luma)
-            if debouncer.gate_open:
-                open_at(current)
-        if event is not None and event.kind == "open" and open_clip is None:
-            open_at(event.run_start)
+            if boundary:
+                if open_clip is not None:
+                    clip = close(current - 1)
+                    if clip is not None:
+                        yield clip
+                model.reset()
+                model.update(frame.luma)
+                if debouncer.gate_open:
+                    open_at(current)
+            if event is not None and event.kind == "open" and open_clip is None:
+                open_at(event.run_start)
 
-        if open_clip is not None and open_clip.counted_up_to < current:
-            open_clip.count(current, verdict)
-        if on_frame is not None:
-            on_frame(current)
+            if open_clip is not None and open_clip.counted_up_to < current:
+                open_clip.count(current, verdict)
+            if on_frame is not None:
+                on_frame(current)
 
-    if open_clip is not None and current >= 0:
-        clip = close(current)
-        if clip is not None:
-            yield clip
+        if open_clip is not None and current >= 0:
+            clip = close(current)
+            if clip is not None:
+                yield clip
+    except BaseException:
+        # An aborted clip is never emitted, so nothing of it stays exported.
+        if export is not None and open_clip is not None:
+            export.discard(emitted + 1)
+        raise
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,11 @@ class TestDetection:
         with pytest.raises(ValueError):
             Detection("ball", (0, 0, 0, 10), 0.5)
 
+    @pytest.mark.parametrize("box", [(float("nan"), 5, float("inf"), 4), (0, 0, float("inf"), 4)])
+    def test_non_finite_box_rejected(self, box):
+        with pytest.raises(ValueError, match="finite"):
+            Detection("ball", box, 0.5)
+
     def test_derived_rows(self):
         det = Detection("batsman", (10, 20, 30, 40), 0.9)
         assert det.bottom_row == 60
@@ -173,6 +178,24 @@ class TestLoader:
         write_lines(path, [rec])
         with pytest.raises(AnnotationLoadError):
             load_precomputed(path)
+
+    @given(
+        slot=st.sampled_from(["x", "y", "w", "h", "conf", "front_prob"]),
+        token=st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]),
+        frame_size=st.sampled_from([None, (1280, 720)]),
+    )
+    def test_loader_fuzz_non_finite_values(self, tmp_path_factory, slot, token, frame_size):
+        # json.loads turns all four tokens into non-finite floats.
+        values = {"x": "1", "y": "2", "w": "3", "h": "4", "conf": "0.5", "front_prob": "0.5"}
+        values[slot] = token
+        line = (
+            '{{"frame": 0, "front_prob": {front_prob}, "detections": [{{"label": "ball", '
+            '"box": [{x}, {y}, {w}, {h}], "conf": {conf}}}]}}'.format(**values)
+        )
+        path = tmp_path_factory.mktemp("fuzz") / "ann.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(AnnotationLoadError, match="line 1"):
+            load_precomputed(path, frame_size=frame_size)
 
 
 class TestAnnotations:

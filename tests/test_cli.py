@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from cricseg import cli
 from cricseg.backend import dump_annotations
 from cricseg.cli import main
 from cricseg.frames import write_pgm
@@ -143,6 +145,55 @@ class TestSegment:
         dumped = sorted((export / "clip_0001").glob("*.pgm"))
         assert len(dumped) == 100
         assert dumped[0].name == "000050.pgm"
+
+    def test_export_holds_only_the_lookback_window(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+        render = cli.frame_stream
+
+        def watched(script):
+            frames = render(script)
+            while True:
+                refs[:] = [r for r in refs if r() is not None]
+                alive.append(len(refs))
+                try:
+                    frame = next(frames)
+                except StopIteration:
+                    return
+                refs.append(weakref.ref(frame))
+                yield frame
+
+        monkeypatch.setattr(cli, "frame_stream", watched)
+        export = tmp_path / "clips"
+        code = main(
+            [
+                "segment",
+                "--scenario", "delivery_plus_replay",
+                "--backend", "synthetic",
+                "--out", str(tmp_path / "m.jsonl"),
+                "--export-frames", str(export),
+            ]
+        )
+        assert code == 0
+        assert len(alive) == 261
+        # The lookback window (debounce_k + 2, default k = 3) and an open
+        # clip's first frame.
+        assert max(alive) <= 3 + 3
+        rows = read_jsonl(tmp_path / "m.jsonl")
+        assert len(rows) == 2
+        for n, row in enumerate(rows, start=1):
+            names = sorted(p.name for p in (export / f"clip_{n:04d}").iterdir())
+            assert names == [f"{i:06d}.pgm" for i in range(row["start"], row["end"] + 1)]
+
+    def test_non_finite_box_is_located_runtime_error(self, raw_run, capsys):
+        ann = raw_run.tmp / "nan.jsonl"
+        ann.write_text(
+            '{"frame": 0, "front_prob": 0.5, "detections": '
+            '[{"label": "ball", "box": [NaN, 2, Infinity, 4], "conf": 0.5}]}\n',
+            encoding="utf-8",
+        )
+        common = [a if not a.startswith("file:") else f"file:{ann}" for a in raw_run.common]
+        assert main(["segment", *common, "--out", str(raw_run.tmp / "nan_m.jsonl")]) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_backend_failure_mid_stream_is_runtime_error(self, tmp_path, capsys):
         # Annotations stop at frame 59 but the source has 80 frames.

@@ -11,6 +11,8 @@ from cricseg.frames import (
     CropSpec,
     Frame,
     FrameSourceError,
+    _raw_pipe_frames,
+    _read_pgm,
     crop_offsets,
     open_source,
     stream_from_arrays,
@@ -124,8 +126,18 @@ class TestStreams:
 
     def test_raw_pipe_truncated(self):
         buf = io.BytesIO(b"\x00" * 25)  # one full 4x6 frame plus one byte
-        with pytest.raises(FrameSourceError):
+        with pytest.raises(FrameSourceError, match="got 1 of 24 bytes"):
             list(open_source(buf, fps=10, width=6, height=4))
+
+    def test_readers_return_read_only_arrays(self, tmp_path):
+        arr = np.arange(24, dtype=np.uint8).reshape(4, 6)
+        (raw,) = _raw_pipe_frames(io.BytesIO(arr.tobytes()), 6, 4)
+        write_pgm(arr, tmp_path / "0.pgm")
+        pgm = _read_pgm(tmp_path / "0.pgm")
+        for out in (raw, pgm):
+            assert not out.flags.writeable
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, arr)
 
     def test_raw_pipe_needs_dimensions(self):
         with pytest.raises(FrameSourceError):
@@ -142,3 +154,8 @@ class TestStreams:
         write_pgm(arr, tmp_path / "0.pgm")
         out = list(open_source(tmp_path, fps=1))[0]
         np.testing.assert_array_equal(out.luma, arr)
+
+    def test_pgm_round_trip_of_strided_array(self, tmp_path):
+        arr = np.arange(64, dtype=np.uint8).reshape(8, 8)[:, ::2]
+        write_pgm(arr, tmp_path / "0.pgm")
+        np.testing.assert_array_equal(_read_pgm(tmp_path / "0.pgm"), arr)

@@ -162,6 +162,30 @@ class TestNativeEquivalence:
 
 
 class TestSelection:
+    def test_fallback_run_never_calls_native(self, built_native, monkeypatch):
+        # The in-place build when there is one, else the temporary one.
+        module = kernels._native if kernels.NATIVE_AVAILABLE else built_native._mod
+        monkeypatch.setattr(kernels, "_native", module)
+        monkeypatch.setattr(kernels, "NATIVE_AVAILABLE", True)
+        calls = []
+        for name in ("bg_update", "band_abs_diff_mean"):
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        script = load_script(bundled_scripts()["delivery_plus_replay"])
+
+        def run(impl):
+            calls.clear()
+            return list(segment(frame_stream(script), synthetic_backend(script), script.fps,
+                                kernel_impl=impl))
+
+        assert [c.liveness for c in run("native")] == ["live", "replay"]
+        assert set(calls) == {"bg_update", "band_abs_diff_mean"}
+        assert [c.liveness for c in run("fallback")] == ["live", "replay"]
+        assert calls == []
+
     def test_unknown_impl_rejected(self):
         with pytest.raises(ValueError):
             kernels.get_impl("gpu")

@@ -5,13 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from cricseg.backend import AnnotationError, MappingBackend
-from cricseg.frames import Frame
+from cricseg.backend import AnnotationError, FrameAnnotations, MappingBackend
+from cricseg.frames import Frame, _read_pgm
 from cricseg.gate import GateConfig
 from cricseg.segmenter import (
     BackgroundModel,
     BoundaryConfig,
     Clip,
+    ClipExport,
     Foreground,
     SegmentationError,
     detect_boundary,
@@ -218,6 +219,111 @@ class TestSegment:
             clips = run_script(script)
             want = expected_clips(script, min_frames=CFG.min_clip_frames)
             assert [(c.start, c.end, c.liveness) for c in clips] == want
+
+
+class RecordingExport:
+    """Stands in for ClipExport, keeping the indices written per clip."""
+
+    def __init__(self):
+        self.clips = {}
+
+    def write(self, clip, frame):
+        written = self.clips.setdefault(clip, [])
+        assert not written or frame.index > written[-1]
+        written.append(frame.index)
+
+    def discard(self, clip):
+        self.clips.pop(clip, None)
+
+
+def watched_export(tmp_path):
+    """A ClipExport that also notes every frame index it was handed."""
+    export = ClipExport(tmp_path / "export")
+    export.handed = []
+    write = export.write
+
+    def noting(clip, frame):
+        export.handed.append(frame.index)
+        write(clip, frame)
+
+    export.write = noting
+    return export
+
+
+def exported(root):
+    return {
+        d.name: [int(p.stem) for p in sorted(d.iterdir())] for d in sorted(root.iterdir())
+    }
+
+
+class TestExport:
+    def test_dropped_front_run_leaves_no_file_and_no_directory(self, tmp_path):
+        script = script_from_lengths(
+            [(OTHER_VIEW, 60), (FRONT_VIEW, 10), (OTHER_VIEW, 60), (FRONT_VIEW, 40), (OTHER_VIEW, 30)],
+            **SMALL,
+        )
+        export = watched_export(tmp_path)
+        clips = run_script(script, export=export)
+        assert [(c.start, c.end) for c in clips] == [(130, 169)]
+        # The short run was written while open, then removed when dropped.
+        assert set(range(60, 65)) <= set(export.handed)
+        assert exported(export.directory) == {"clip_0001": list(range(130, 170))}
+        frames = list(frame_stream(script))
+        for idx in range(130, 170):
+            path = export.directory / "clip_0001" / f"{idx:06d}.pgm"
+            np.testing.assert_array_equal(_read_pgm(path), frames[idx].luma)
+
+    def test_gate_close_end_exports_nothing_past_it(self, tmp_path):
+        script = script_from_lengths(
+            [
+                (OTHER_VIEW, 50, {"base_level": 60}),
+                (FRONT_VIEW, 80, {"base_level": 170}),
+                (OTHER_VIEW, 60, {"base_level": 170}),
+            ],
+            **SMALL,
+        )
+        export = watched_export(tmp_path)
+        assert [(c.start, c.end) for c in run_script(script, export=export)] == [(50, 129)]
+        assert max(export.handed) == 129
+        assert exported(export.directory) == {"clip_0001": list(range(50, 130))}
+
+    def test_aborted_clip_is_removed(self, tmp_path):
+        script = script_from_lengths(
+            [(OTHER_VIEW, 50), (FRONT_VIEW, 100), (OTHER_VIEW, 50)], **SMALL
+        )
+        backend = synthetic_backend(script)
+        broken = {i: backend.by_index(i) for i in range(script.n_frames) if i != 90}
+        export = watched_export(tmp_path)
+        with pytest.raises(SegmentationError):
+            list(segment(frame_stream(script), MappingBackend(broken), script.fps, export=export))
+        assert export.handed
+        assert exported(export.directory) == {}
+
+    def test_writes_match_emitted_clips_under_gate_flicker(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            script = random_cut_script(rng, n_segments=6, width=64, height=36)
+            front, records = False, {}
+            while len(records) < script.n_frames:
+                for _ in range(rng.randint(1, 30)):
+                    i = len(records)
+                    records[i] = FrameAnnotations(i, 0.9 if front else 0.1)
+                front = not front
+            export = RecordingExport()
+            clips = list(
+                segment(
+                    frame_stream(script),
+                    MappingBackend(records),
+                    script.fps,
+                    gate_cfg=GateConfig(debounce_k=rng.randint(1, 4)),
+                    boundary_cfg=BoundaryConfig(min_clip_frames=rng.randint(1, 30)),
+                    strategy="classifier",
+                    export=export,
+                )
+            )
+            assert export.clips == {
+                n: list(range(c.start, c.end + 1)) for n, c in enumerate(clips, start=1)
+            }
 
 
 class TestClipInvariants:
