@@ -163,10 +163,11 @@ def load_precomputed(
 ) -> MappingBackend:
     """Load a JSON Lines annotation file into a backend.
 
-    One object per frame: {"frame": int, "front_prob": float,
-    "detections": [{"label", "box": [x,y,w,h], "conf"}]}. Detections
-    carrying "space": "cropped" are shifted back to full-frame
-    coordinates, which requires ``crop`` and ``frame_size``.
+    One object per frame: {"frame": int >= 0, "front_prob": float,
+    "detections": [{"label", "box": [x,y,w,h], "conf"}]}, where
+    "detections" may be left out. Detections carrying "space": "cropped"
+    are shifted back to full-frame coordinates, which requires ``crop``
+    and ``frame_size``.
     """
     records: dict[int, FrameAnnotations] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -178,16 +179,22 @@ def load_precomputed(
             except json.JSONDecodeError as exc:
                 raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
-                index = int(obj["frame"])
+                index = obj["frame"]
                 front_prob = float(obj["front_prob"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise AnnotationLoadError(f"line {lineno}: malformed record: {exc}") from exc
+            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+                raise AnnotationLoadError(
+                    f"line {lineno}: field 'frame' must be a non-negative integer"
+                )
             if index in records:
                 raise AnnotationLoadError(f"line {lineno}: duplicate frame {index}")
-            dets = tuple(
-                _parse_detection(d, lineno, crop, frame_size)
-                for d in obj.get("detections", [])
-            )
+            detections = obj.get("detections", [])
+            if not isinstance(detections, list):
+                raise AnnotationLoadError(
+                    f"line {lineno}: field 'detections' must be a JSON array"
+                )
+            dets = tuple(_parse_detection(d, lineno, crop, frame_size) for d in detections)
             try:
                 records[index] = FrameAnnotations(index, front_prob, dets)
             except ValueError as exc:

@@ -17,7 +17,12 @@ reaches them through the one ``_Impl`` that ``segment()`` holds:
 
 Both implementations give bit-identical means and equal counts, which the
 test suite enforces. The compiled one takes 2-D C-contiguous arrays only
-and raises ``ValueError`` on any other shape, dtype or layout.
+and raises ``ValueError`` on any other shape, dtype or layout. On x86-64
+with glibc its ``bg_update`` loop is built twice, for AVX2 and for the
+baseline, and the dynamic loader picks the AVX2 body once, when the
+extension loads, on a CPU that has it; elsewhere the baseline body is the
+only one. Both bodies round like numpy, so the choice never changes a
+result.
 """
 
 from __future__ import annotations

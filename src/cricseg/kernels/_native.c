@@ -4,7 +4,15 @@
  * arrays or any other exporter) and use only the CPython API. Build with
  * -ffp-contract=off: the mean update must round after the multiply and
  * again after the add, as numpy does, so that both implementations keep
- * bit-identical means and therefore return identical counts.
+ * bit-identical means and therefore return identical counts. The flag
+ * applies to every clone of update_plane, so the AVX2 body has no FMA
+ * either.
+ *
+ * The build targets the baseline of its platform (SSE2 on x86-64), never
+ * -march=native, so a wheel runs on any CPU of that platform. On x86-64
+ * with glibc, update_plane alone is compiled twice, and the dynamic loader
+ * picks the AVX2 body once, when the extension loads, on a CPU that has
+ * it.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -57,13 +65,25 @@ get_pair(PyObject *obj_a, PyObject *obj_b, Py_buffer *a, Py_buffer *b, const cha
     return -1;
 }
 
+/* target_clones dispatches through an ifunc, which glibc's loader
+ * resolves and musl's does not. Without it update_plane is the one
+ * baseline body. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define X86_64_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef X86_64_CLONES
+#define X86_64_CLONES
+#endif
+
 /* One fused pass: d = luma - mean, count |d| > thr, mean += lr * d, all in
  * float32. restrict lets the compiler vectorise it without a run-time
  * overlap check, and a 32-bit count per block vectorises about 1.5x faster
  * than one Py_ssize_t count. */
 #define BLOCK 4096
 
-static Py_ssize_t
+X86_64_CLONES static Py_ssize_t
 update_plane(float *restrict m, const unsigned char *restrict l, Py_ssize_t n,
              float lr, float thr)
 {

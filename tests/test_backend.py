@@ -89,6 +89,13 @@ class TestLoader:
         with pytest.raises(AnnotationLoadError, match="duplicate"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("frame", [0.7, True, "12", -1])
+    def test_frame_must_be_non_negative_integer(self, tmp_path, frame):
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [RECORD | {"frame": 1}, RECORD | {"frame": frame}])
+        with pytest.raises(AnnotationLoadError, match="line 2: field 'frame'"):
+            load_precomputed(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"frame": 0, "front_prob": 0.5}\nnot json\n', encoding="utf-8")

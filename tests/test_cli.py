@@ -195,6 +195,17 @@ class TestSegment:
         assert main(["segment", *common, "--out", str(raw_run.tmp / "nan_m.jsonl")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detections", ["5", "null"])
+    def test_detections_not_an_array_is_located_runtime_error(self, raw_run, capsys, detections):
+        ann = raw_run.tmp / "bad.jsonl"
+        ann.write_text(f'{{"frame": 0, "front_prob": 0.5, "detections": {detections}}}\n',
+                       encoding="utf-8")
+        common = [a if not a.startswith("file:") else f"file:{ann}" for a in raw_run.common]
+        assert main(["segment", *common, "--out", str(raw_run.tmp / "bad_m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "'detections'" in err
+        assert "Traceback" not in err
+
     def test_backend_failure_mid_stream_is_runtime_error(self, tmp_path, capsys):
         # Annotations stop at frame 59 but the source has 80 frames.
         script = resolve_script("one_delivery")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -27,10 +28,15 @@ def reference_bg_update(mean, luma, lr, thresh):
     return new_mean, count
 
 
+def c_compiler() -> str:
+    """The compiler ``setup.py build_ext`` runs."""
+    return (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+
+
 @pytest.fixture(scope="module")
 def built_native(tmp_path_factory):
     """``_native.c`` built by ``setup.py build_ext`` into a scratch directory."""
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    cc = c_compiler()
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) found")
     tmp = tmp_path_factory.mktemp("native")
@@ -83,7 +89,9 @@ class TestFallback:
 
 
 class TestNativeEquivalence:
-    @pytest.mark.parametrize("shape", [(90, 160), (360, 640), (37, 53)])
+    # (65, 67) spans a 4096-pixel count block plus a tail that is not a
+    # multiple of the AVX2 width; (720, 1280) is larger than a core's L2.
+    @pytest.mark.parametrize("shape", [(90, 160), (360, 640), (37, 53), (65, 67), (720, 1280)])
     def test_repeated_updates_agree(self, built_native, shape):
         rng = np.random.default_rng(2)
         fallback = kernels.get_impl("fallback")
@@ -159,6 +167,22 @@ class TestNativeEquivalence:
                                 kernel_impl=impl))
 
         assert clips("native") == clips("fallback")
+
+
+class TestNativeBuild:
+    def test_update_plane_has_avx2_clone(self, built_native):
+        if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+            pytest.skip("the AVX2 clone is built on x86-64 glibc only")
+        nm = shutil.which("nm")
+        if nm is None:
+            pytest.skip("no nm found")
+        macros = subprocess.run([c_compiler(), "-dM", "-E", "-x", "c", os.devnull],
+                                capture_output=True, text=True, check=True).stdout.split()
+        if "__GNUC__" not in macros or "__clang__" in macros:
+            pytest.skip("clone symbol names are checked for gcc only")
+        symbols = subprocess.run([nm, built_native._mod.__file__],
+                                 capture_output=True, text=True, check=True).stdout.split()
+        assert "update_plane.avx2" in symbols
 
 
 class TestSelection:
