@@ -20,6 +20,9 @@ from cricseg.frames import CropSpec, Frame, crop_offsets
 
 OBJECT_LABELS = frozenset({"pitch", "umpire", "batsman", "bowler", "ball"})
 
+# The types json.loads gives a JSON number; bool, a subclass of int, is not one.
+_NUMBER = (int, float)
+
 
 class AnnotationError(Exception):
     """Backend failure for one frame; carries the frame index."""
@@ -131,10 +134,20 @@ def _parse_detection(
 ) -> Detection:
     try:
         label = obj["label"]
-        x, y, w, h = (float(v) for v in obj["box"])
-        conf = float(obj["conf"])
-    except (KeyError, TypeError, ValueError) as exc:
+        box = obj["box"]
+        conf = obj["conf"]
+    except (KeyError, TypeError) as exc:
         raise AnnotationLoadError(f"line {lineno}: malformed detection: {exc}") from exc
+    if type(label) is not str:
+        raise AnnotationLoadError(f"line {lineno}: field 'label' must be a string")
+    # Anything but a 4-array unpacks to Nones, which fail the number check.
+    x, y, w, h = box if type(box) is list and len(box) == 4 else (None,) * 4
+    if not (type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER
+            and type(h) in _NUMBER):
+        raise AnnotationLoadError(f"line {lineno}: field 'box' must be an array of 4 numbers")
+    if type(conf) not in _NUMBER:
+        raise AnnotationLoadError(f"line {lineno}: field 'conf' must be a number")
+    x, y, w, h = float(x), float(y), float(w), float(h)
     space = obj.get("space", "full")
     if space == "cropped":
         if crop is None or frame_size is None:
@@ -146,7 +159,7 @@ def _parse_detection(
     elif space != "full":
         raise AnnotationLoadError(f"line {lineno}: unknown coordinate space {space!r}")
     try:
-        det = Detection(label, (x, y, w, h), conf)
+        det = Detection(label, (x, y, w, h), float(conf))
     except ValueError as exc:
         raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
     if frame_size is not None:
@@ -163,9 +176,11 @@ def load_precomputed(
 ) -> MappingBackend:
     """Load a JSON Lines annotation file into a backend.
 
-    One object per frame: {"frame": int >= 0, "front_prob": float,
-    "detections": [{"label", "box": [x,y,w,h], "conf"}]}, where
-    "detections" may be left out. Detections carrying "space": "cropped"
+    One object per frame: {"frame": int >= 0, "front_prob": number,
+    "detections": [{"label": str, "box": [x,y,w,h], "conf": number}]},
+    where "detections" may be left out. Numbers must be JSON numbers, not
+    strings or booleans, and "box" exactly four of them; nothing is
+    coerced. Detections carrying "space": "cropped"
     are shifted back to full-frame coordinates, which requires ``crop``
     and ``frame_size``.
     """
@@ -180,13 +195,15 @@ def load_precomputed(
                 raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
                 index = obj["frame"]
-                front_prob = float(obj["front_prob"])
-            except (KeyError, TypeError, ValueError) as exc:
+                front_prob = obj["front_prob"]
+            except (KeyError, TypeError) as exc:
                 raise AnnotationLoadError(f"line {lineno}: malformed record: {exc}") from exc
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise AnnotationLoadError(
                     f"line {lineno}: field 'frame' must be a non-negative integer"
                 )
+            if type(front_prob) not in _NUMBER:
+                raise AnnotationLoadError(f"line {lineno}: field 'front_prob' must be a number")
             if index in records:
                 raise AnnotationLoadError(f"line {lineno}: duplicate frame {index}")
             detections = obj.get("detections", [])
@@ -196,7 +213,7 @@ def load_precomputed(
                 )
             dets = tuple(_parse_detection(d, lineno, crop, frame_size) for d in detections)
             try:
-                records[index] = FrameAnnotations(index, front_prob, dets)
+                records[index] = FrameAnnotations(index, float(front_prob), dets)
             except ValueError as exc:
                 raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
     return MappingBackend(records)

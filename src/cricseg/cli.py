@@ -1,22 +1,18 @@
 """Command-line front door.
 
-Subcommands: segment, track, classify, eval, bench, scenarios. Exit
-codes: 0 success, 1 configuration error, 2 runtime error.
+Subcommands: segment, track, classify, eval, scenarios. Exit codes:
+0 success, 1 configuration error, 2 runtime error. The benchmark lives
+outside the package, in ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from cricseg import kernels
 from cricseg.backend import (
     AnnotationError,
     AnnotationLoadError,
@@ -33,11 +29,9 @@ from cricseg.frames import FrameSourceError, open_source
 from cricseg.geometry import DELIVERY_WIRE, GeometryError, classify_clip_delivery
 from cricseg.metrics import (
     ConfusionMatrix,
-    PerfStats,
     metrics_report,
     report_to_csv,
     report_to_json,
-    throughput,
 )
 from cricseg.scenario import (
     OTHER_VIEW,
@@ -106,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="one 0/1 per line")
     p.add_argument("--labels", help="one 0/1 per line")
     p.add_argument("--out", help="report path stem (.json and .csv written)")
-
-    p = sub.add_parser("bench", help="throughput of the segment pipeline")
-    _add_common(p)
-    p.add_argument("--frames", type=int, default=3000)
-    p.add_argument("--impl", choices=("native", "fallback", "both", "auto"), default="auto")
-    p.add_argument("--out", help="benchmark report JSON")
 
     sub.add_parser("scenarios", help="list bundled synthetic scenarios")
     return parser
@@ -327,14 +315,25 @@ def _read_bool_lines(path: str) -> list[bool]:
     return out
 
 
+def _read_counts(path: str) -> ConfusionMatrix:
+    """The tp/fp/fn/tn object of a JSON file; ValueError names path and key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            counts = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(counts, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in ("tp", "fp", "fn", "tn"):
+        value = counts.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{path}: field '{key}' must be a non-negative integer")
+    return ConfusionMatrix(counts["tp"], counts["fp"], counts["fn"], counts["tn"])
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.counts:
-        with open(args.counts, "r", encoding="utf-8") as fh:
-            counts = json.load(fh)
-        cm = ConfusionMatrix(
-            tp=int(counts["tp"]), fp=int(counts["fp"]),
-            fn=int(counts["fn"]), tn=int(counts["tn"]),
-        )
+        cm = _read_counts(args.counts)
     elif args.predictions and args.labels:
         from cricseg.metrics import confusion
 
@@ -376,72 +375,6 @@ def bench_script(n_frames: int, width: int, height: int) -> ScenarioScript:
     return script_from_lengths(spec, width=width, height=height)
 
 
-def _bench_pipeline(script: ScenarioScript, impl: str | None) -> PerfStats:
-    backend = synthetic_backend(script)
-    run = run_segmentation(
-        frame_stream(script), backend, script.fps, kernel_impl=impl
-    )
-    return throughput(run.frames_processed, run.wall_ms)
-
-
-def _bench_kernels(width: int, height: int, reps: int = 200) -> dict:
-    rng = np.random.default_rng(7)
-    frame = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    out = {}
-    for name in kernels.available_impls():
-        impl = kernels.get_impl(name)
-        mean = frame.astype(np.float32)
-        impl.bg_update(mean, frame, 0.05, 25.0)  # warm-up
-        start = time.perf_counter()
-        for _ in range(reps):
-            impl.bg_update(mean, frame, 0.05, 25.0)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        out[name] = {"bg_update_ms_per_frame": wall_ms / reps}
-    return out
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    width = args.width or 640
-    height = args.height or 360
-    if args.scenario:
-        script = resolve_script(args.scenario)
-        width, height = script.width, script.height
-    else:
-        script = bench_script(args.frames, width, height)
-    impls: tuple[str | None, ...]
-    if args.impl == "both":
-        impls = kernels.available_impls()
-    elif args.impl == "auto":
-        impls = (kernels.ACTIVE_IMPL,)
-    else:
-        impls = (args.impl,)
-    report: dict = {
-        "frames": script.n_frames,
-        "frame_size": [width, height],
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu": platform.processor() or platform.machine(),
-        },
-        "pipeline": {},
-        "kernels": _bench_kernels(width, height),
-    }
-    for impl in impls:
-        stats = _bench_pipeline(script, impl)
-        report["pipeline"][impl] = {
-            "frames_processed": stats.frames_processed,
-            "wall_ms": round(stats.wall_ms, 3),
-            "ms_per_frame": round(stats.ms_per_frame, 4),
-            "fps": round(stats.fps, 1),
-        }
-        print(f"bench[{impl}]: {stats.fps:.0f} fps, {stats.ms_per_frame:.3f} ms/frame")
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    return 0
-
-
 def cmd_scenarios(_: argparse.Namespace) -> int:
     for name, path in bundled_scripts().items():
         script = load_script(path)
@@ -458,7 +391,6 @@ _COMMANDS = {
     "track": cmd_track,
     "classify": cmd_classify,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "scenarios": cmd_scenarios,
 }
 

@@ -8,6 +8,7 @@ read is a configuration error, so a typo cannot pass unnoticed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
 
 from cricseg.frames import BandSpec, CropSpec
@@ -40,14 +41,20 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _take(values: dict[str, str], key: str, cast, default):
-    """Remove ``key`` from ``values`` and return it cast, or ``default``."""
+    """Remove ``key`` from ``values`` and return it cast, or ``default``.
+
+    A float must be finite: ``float()`` also reads ``nan`` and ``inf``.
+    """
     if key not in values:
         return default
     raw = values.pop(key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
+    if cast is float and not isfinite(value):
+        raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
+    return value
 
 
 @dataclass
@@ -77,8 +84,11 @@ class PipelineConfig:
                 raise ConfigError(f"annotation file does not exist: {path}")
         if self.backend == "synthetic" and self.scenario is None:
             raise ConfigError("the synthetic backend needs --scenario")
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
+        if not 0.0 < self.fps < inf:
+            raise ConfigError("fps must be positive and finite")
+        for name, value in (("width", self.width), ("height", self.height)):
+            if value is not None and value <= 0:
+                raise ConfigError(f"source.{name} must be positive")
 
 
 def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:

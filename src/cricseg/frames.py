@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -101,8 +102,8 @@ class FrameStream:
     """Pull-based, single-consumer stream of frames in index order."""
 
     def __init__(self, frames: Iterable[Frame], fps: float) -> None:
-        if fps <= 0:
-            raise FrameSourceError("fps must be positive")
+        if not 0.0 < fps < inf:
+            raise FrameSourceError("fps must be positive and finite")
         self._it = iter(frames)
         self._next_index = 0
 
@@ -172,9 +173,11 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise FrameSourceError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise FrameSourceError(f"{path}: only 8-bit PGM is supported")
+    # Checked before numpy sees them: a huge count overflows, a negative
+    # one means "all the rest", and a zero one makes an empty frame.
+    if width <= 0 or height <= 0 or width * height > len(data) - pos:
+        raise FrameSourceError(f"{path}: malformed PGM header")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.size != width * height:
-        raise FrameSourceError(f"{path}: truncated pixel data")
     return pixels.reshape(height, width)
 
 

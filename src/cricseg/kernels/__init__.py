@@ -3,10 +3,9 @@
 The compiled extension (``cricseg.kernels._native``, built from
 ``_native.c`` by ``setup.py`` whenever a C compiler is found) is used when
 it was built; otherwise the numpy twin takes over transparently. The
-choice is made once at import (``ACTIVE_IMPL``); no config key overrides
-it, and only ``cricseg bench --impl`` asks for an implementation by name
-through ``get_impl``. Both expose the same two functions, and every stage
-reaches them through the one ``_Impl`` that ``segment()`` holds:
+choice is made once at import and bound to ``ACTIVE`` (named by
+``ACTIVE_IMPL``); no config key or flag overrides it, and every stage
+looks ``ACTIVE`` up each time it calls a kernel. Both implementations expose the same two functions:
 
 - ``bg_update(mean, luma, learning_rate, diff_threshold) -> int`` blends a
   uint8 luma plane into the float32 running mean in place and returns the
@@ -40,10 +39,6 @@ except ImportError:
 ACTIVE_IMPL = "native" if NATIVE_AVAILABLE else "fallback"
 
 
-def available_impls() -> tuple[str, ...]:
-    return ("native", "fallback") if NATIVE_AVAILABLE else ("fallback",)
-
-
 class _Impl:
     """One named kernel implementation."""
 
@@ -58,14 +53,4 @@ class _Impl:
         return float(self._mod.band_abs_diff_mean(first, last))
 
 
-def get_impl(name: str | None = None) -> _Impl:
-    """Return a kernel implementation by name; default is the active one."""
-    if name is None:
-        name = ACTIVE_IMPL
-    if name == "native":
-        if not NATIVE_AVAILABLE:
-            raise ValueError("native kernels are not built; reinstall with a C compiler available")
-        return _Impl("native", _native)
-    if name == "fallback":
-        return _Impl("fallback", _fallback)
-    raise ValueError(f"unknown kernel implementation: {name!r}")
+ACTIVE = _Impl(ACTIVE_IMPL, _native if NATIVE_AVAILABLE else _fallback)

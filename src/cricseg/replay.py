@@ -24,34 +24,28 @@ class ReplayConfig:
     mean_abs_diff_threshold: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.mean_abs_diff_threshold < 0:
+        if not self.mean_abs_diff_threshold >= 0:
             raise ValueError("mean_abs_diff_threshold must be >= 0")
 
 
-def band_difference(
-    first: Frame, last: Frame, band: BandSpec, impl: kernels._Impl | None = None
-) -> float:
+def band_difference(first: Frame, last: Frame, band: BandSpec) -> float:
     """Mean absolute luma difference over the bottom band, in [0, 255].
 
-    Symmetric in its two arguments. ``impl`` is the kernel implementation
-    to use; the active one by default.
+    Symmetric in its two arguments.
     """
     if first.luma.shape != last.luma.shape:
         raise ValueError("frames differ in dimensions")
     r0, r1 = band.rows(first.height)
-    impl = impl or kernels.get_impl()
-    return impl.band_abs_diff_mean(first.luma[r0:r1], last.luma[r0:r1])
+    return kernels.ACTIVE.band_abs_diff_mean(first.luma[r0:r1], last.luma[r0:r1])
 
 
-def classify_liveness(
-    frames: Sequence[Frame], cfg: ReplayConfig, impl: kernels._Impl | None = None
-) -> str:
+def classify_liveness(frames: Sequence[Frame], cfg: ReplayConfig) -> str:
     """Label a clip from its frames; needs at least two to decide.
 
-    Only the endpoints are compared, with the kernel ``impl``.
+    Only the endpoints are compared.
     """
     if len(frames) < 2:
         return UNDETERMINED
-    diff = band_difference(frames[0], frames[-1], cfg.band, impl)
+    diff = band_difference(frames[0], frames[-1], cfg.band)
     static = diff <= cfg.mean_abs_diff_threshold
     return LIVE if static else REPLAY

@@ -369,36 +369,7 @@ def frame_stream(script: ScenarioScript, band: BandSpec | None = None) -> FrameS
     return FrameStream(gen(), script.fps)
 
 
-# --- script (de)serialization ------------------------------------------------
-
-def script_to_obj(script: ScenarioScript) -> dict:
-    segments = []
-    for seg in script.segments:
-        obj: dict[str, object] = {
-            "kind": seg.kind,
-            "start": seg.start,
-            "end": seg.end,
-            "scorecard": seg.scorecard,
-        }
-        if seg.base_level is not None:
-            obj["base_level"] = seg.base_level
-        if seg.delivery is not None:
-            d = seg.delivery
-            obj["delivery"] = {
-                "bounce_distance_m": d.bounce_distance_m,
-                "release_offset": d.release_offset,
-                "descent_frames": d.descent_frames,
-                "ascent_frames": d.ascent_frames,
-                "zoom": d.zoom,
-            }
-        segments.append(obj)
-    return {
-        "width": script.width,
-        "height": script.height,
-        "fps": script.fps,
-        "segments": segments,
-    }
-
+# --- script loading -----------------------------------------------------------
 
 def script_from_obj(obj: dict) -> ScenarioScript:
     try:
@@ -430,12 +401,6 @@ def script_from_obj(obj: dict) -> ScenarioScript:
 def load_script(path: str | Path) -> ScenarioScript:
     with open(path, "r", encoding="utf-8") as fh:
         return script_from_obj(json.load(fh))
-
-
-def save_script(script: ScenarioScript, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(script_to_obj(script), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def bundled_dir() -> Path:

@@ -46,7 +46,7 @@ class BoundaryConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.foreground_threshold <= 1.0:
             raise ValueError("foreground_threshold must be in (0, 1]")
-        if self.pixel_diff_threshold < 0:
+        if not self.pixel_diff_threshold >= 0:
             raise ValueError("pixel_diff_threshold must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
@@ -70,9 +70,8 @@ class BackgroundModel:
     foreground count is 0 until then.
     """
 
-    def __init__(self, cfg: BoundaryConfig, kernel_impl: str | None = None) -> None:
+    def __init__(self, cfg: BoundaryConfig) -> None:
         self.cfg = cfg
-        self.impl = kernels.get_impl(kernel_impl)
         self._mean: np.ndarray | None = None
         self.seen = 0
 
@@ -99,7 +98,7 @@ class BackgroundModel:
             raise ValueError(
                 f"frame dimensions {luma.shape} do not match model {self._mean.shape}"
             )
-        count = self.impl.bg_update(
+        count = kernels.ACTIVE.bg_update(
             self._mean, luma, self.cfg.learning_rate, self.cfg.pixel_diff_threshold
         )
         if not self.warm:
@@ -198,7 +197,6 @@ def segment(
     boundary_cfg: BoundaryConfig | None = None,
     replay_cfg: ReplayConfig | None = None,
     strategy: str = "dual",
-    kernel_impl: str | None = None,
     on_frame: Callable[[int], None] | None = None,
     export: ClipExport | None = None,
 ) -> Iterator[Clip]:
@@ -219,7 +217,7 @@ def segment(
     boundary_cfg = boundary_cfg or BoundaryConfig()
     replay_cfg = replay_cfg or ReplayConfig()
 
-    model = BackgroundModel(boundary_cfg, kernel_impl)
+    model = BackgroundModel(boundary_cfg)
     debouncer = Debouncer(gate_cfg.debounce_k)
     open_clip: _OpenClip | None = None
     # Lookback buffer for retroactive opens and closes: the debounce lag
@@ -249,7 +247,7 @@ def segment(
         emitted += 1
         last_frame = recent[end_index][0]
         liveness = (
-            classify_liveness([state.first_frame, last_frame], replay_cfg, model.impl)
+            classify_liveness([state.first_frame, last_frame], replay_cfg)
             if length >= 2
             else UNDETERMINED
         )

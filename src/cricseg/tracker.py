@@ -31,7 +31,7 @@ class TrackerConfig:
     max_gap_frames: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_jump_px <= 0:
+        if not self.max_jump_px > 0:
             raise ValueError("max_jump_px must be positive")
         if self.max_gap_frames <= 0:
             raise ValueError("max_gap_frames must be positive")

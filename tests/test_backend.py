@@ -96,6 +96,35 @@ class TestLoader:
         with pytest.raises(AnnotationLoadError, match="line 2: field 'frame'"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            ({"front_prob": "0.5"}, "front_prob"),
+            ({"front_prob": True}, "front_prob"),
+            ({"detections": [{"label": "pitch", "box": "1234", "conf": 0.5}]}, "box"),
+            ({"detections": [{"label": "pitch", "box": [1, 2, 3], "conf": 0.5}]}, "box"),
+            ({"detections": [{"label": "pitch", "box": [1, 2, 3, 4, 5], "conf": 0.5}]}, "box"),
+            ({"detections": [{"label": "pitch", "box": [1, "2", 3, 4], "conf": 0.5}]}, "box"),
+            ({"detections": [{"label": "pitch", "box": [1, 2, 3, False], "conf": 0.5}]}, "box"),
+            ({"detections": [{"label": "pitch", "box": [1, 2, 3, 4], "conf": True}]}, "conf"),
+            ({"detections": [{"label": "pitch", "box": [1, 2, 3, 4], "conf": "0.5"}]}, "conf"),
+            ({"detections": [{"label": ["pitch"], "box": [1, 2, 3, 4], "conf": 0.5}]}, "label"),
+        ],
+    )
+    def test_values_are_type_checked_not_coerced(self, tmp_path, record, field):
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [RECORD | {"frame": 1}, RECORD | record])
+        with pytest.raises(AnnotationLoadError, match=f"line 2: field '{field}'"):
+            load_precomputed(path)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [{"frame": 0, "front_prob": 1, "detections": [
+            {"label": "pitch", "box": [1, 2, 3, 4], "conf": 0}]}])
+        ann = load_precomputed(path).by_index(0)
+        det = ann.detections[0]
+        assert [type(v) for v in (ann.front_prob, *det.box, det.confidence)] == [float] * 6
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"frame": 0, "front_prob": 0.5}\nnot json\n', encoding="utf-8")

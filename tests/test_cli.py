@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cricseg import cli
 from cricseg.backend import dump_annotations
 from cricseg.cli import main
+from cricseg.config import ConfigError, PipelineConfig
 from cricseg.frames import write_pgm
+from cricseg.replay import ReplayConfig
 from cricseg.scenario import (
     FRONT_VIEW,
     OTHER_VIEW,
@@ -19,6 +25,8 @@ from cricseg.scenario import (
     script_from_lengths,
     synthetic_backend,
 )
+from cricseg.segmenter import BoundaryConfig
+from cricseg.tracker import TrackerConfig
 
 
 def read_jsonl(path):
@@ -205,6 +213,22 @@ class TestSegment:
         err = capsys.readouterr().err
         assert "line 1" in err and "'detections'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", [b"99999999999 99999999999", b"-1 -1", b"0 4", b"4 4"])
+    def test_malformed_pgm_header_is_located_runtime_error(self, raw_run, capsys, dims):
+        frames = raw_run.tmp / "pgm"
+        frames.mkdir()
+        (frames / "000000.pgm").write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(12))
+        common = ["--source", str(frames), *raw_run.common[2:]]
+        assert main(["segment", *common, "--out", str(raw_run.tmp / "pgm_m.jsonl")]) == 2
+        assert f"{frames / '000000.pgm'}: malformed PGM header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [["--width", "-160"], ["--height", "0"]])
+    def test_non_positive_frame_size_is_config_error(self, raw_run, capsys, size):
+        out = raw_run.tmp / "size_m.jsonl"
+        assert main(["segment", *raw_run.common, *size, "--out", str(out)]) == 1
+        assert f"source.{size[0][2:]} must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_backend_failure_mid_stream_is_runtime_error(self, tmp_path, capsys):
         # Annotations stop at frame 59 but the source has 80 frames.
@@ -427,6 +451,23 @@ class TestEval:
         assert report["precision_pct"] == 97.97
         assert (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"tp": 1}', "'fp'"),
+            ("[1, 2]", "JSON object"),
+            ('{"tp": 1.9, "fp": 1, "fn": 1, "tn": 1}', "'tp'"),
+            ('{"tp": 1, "fp": true, "fn": 1, "tn": 1}', "'fp'"),
+        ],
+        ids=["missing-key", "not-an-object", "float", "bool"],
+    )
+    def test_malformed_counts_is_located_runtime_error(self, tmp_path, capsys, text, field):
+        counts = tmp_path / "counts.json"
+        counts.write_text(text, encoding="utf-8")
+        assert main(["eval", "--counts", str(counts)]) == 2
+        err = capsys.readouterr().err
+        assert str(counts) in err and field in err
+
     def test_prediction_streams(self, tmp_path):
         preds = tmp_path / "p.txt"
         labels = tmp_path / "l.txt"
@@ -446,17 +487,6 @@ class TestEval:
 
 
 class TestBenchAndScenarios:
-    def test_bench_smoke(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--frames", "120", "--width", "160", "--height", "90", "--out", str(out)]
-        )
-        assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["frames"] == 120
-        assert report["pipeline"]
-        assert "machine" in report
-
     def test_bench_frame_budget_truncates_deliveries_safely(self, tmp_path):
         from cricseg.cli import bench_script
 
@@ -465,6 +495,10 @@ class TestBenchAndScenarios:
         for frames in (40, 299, 300, 301, 1000):
             script = bench_script(frames, 160, 90)
             assert script.n_frames == frames
+
+    def test_bench_is_unknown_command(self, capsys):
+        assert main(["bench"]) == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_scenarios_lists_bundles(self, capsys):
         assert main(["scenarios"]) == 0
@@ -517,3 +551,75 @@ class TestConfigFile:
 
     def test_unparsable_flag_is_config_error(self, capsys):
         assert main(["segment"]) == 1
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("replay.threshold", "nan"),
+            ("boundary.pixel_diff_threshold", "nan"),
+            ("tracker.max_jump_px", "nan"),
+            ("source.fps", "inf"),
+            ("source.fps", "nan"),
+            ("pitch.tilt_deg", "-inf"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        code = main(["segment", "--config", str(cfg), "--scenario", "one_delivery", "--out", str(out)])
+        assert code == 1
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fps_flag_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "m.jsonl"
+        code = main(["segment", "--scenario", "one_delivery", "--fps", value, "--out", str(out)])
+        assert code == 1
+        assert "config key source.fps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BoundaryConfig(pixel_diff_threshold=math.nan),
+            lambda: ReplayConfig(mean_abs_diff_threshold=math.nan),
+            lambda: TrackerConfig(max_jump_px=math.nan),
+            lambda: PipelineConfig(scenario="one_delivery", fps=math.nan).validate(),
+            lambda: PipelineConfig(scenario="one_delivery", fps=math.inf).validate(),
+        ],
+        ids=["boundary", "replay", "tracker", "fps-nan", "fps-inf"],
+    )
+    def test_library_range_checks_reject_nan(self, make):
+        with pytest.raises((ValueError, ConfigError)):
+            make()
+
+    @given(
+        key=st.sampled_from([
+            "source.fps", "source.width", "gate.thresholds.classifier", "gate.debounce_k",
+            "boundary.pixel_diff_threshold", "boundary.init_frames", "replay.band_fraction",
+            "replay.threshold", "tracker.max_jump_px", "tracker.max_gap_frames",
+            "pitch.good_max_m", "pitch.tilt_deg", "crop.top",
+        ]),
+        value=st.one_of(
+            st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "-0", "1e-400"]),
+            st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
+        ),
+    )
+    def test_config_value_fuzz(self, tmp_path_factory, key, value):
+        # track with an empty manifest parses the whole config, then does no work.
+        tmp = tmp_path_factory.mktemp("cfg")
+        (tmp / "run.cfg").write_text(f"{key} = {value}\n", encoding="utf-8")
+        (tmp / "m.jsonl").write_text("", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["track", "--config", str(tmp / "run.cfg"), "--scenario", "one_delivery",
+                         "--manifest", str(tmp / "m.jsonl"), "--out", str(tmp / "traj")])
+        assert code in (0, 1)
+        try:
+            finite = math.isfinite(float(value))
+        except ValueError:
+            finite = True
+        if not finite:
+            assert code == 1 and f"config key {key}" in err.getvalue()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestStreams:
         with pytest.raises(FrameSourceError):
             open_source(tmp_path, fps=0)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_non_finite_fps_rejected(self, tmp_path, fps):
+        with pytest.raises(FrameSourceError, match="fps"):
+            open_source(tmp_path, fps=fps)
+
     def test_empty_directory_rejected(self, tmp_path):
         stream = open_source(tmp_path, fps=25)
         with pytest.raises(FrameSourceError):
@@ -159,3 +165,29 @@ class TestStreams:
         arr = np.arange(64, dtype=np.uint8).reshape(8, 8)[:, ::2]
         write_pgm(arr, tmp_path / "0.pgm")
         np.testing.assert_array_equal(_read_pgm(tmp_path / "0.pgm"), arr)
+
+    @given(
+        width=st.one_of(st.integers(-3, 6), st.integers(-(2**64), 2**64)),
+        height=st.one_of(st.integers(-3, 6), st.integers(-(2**64), 2**64)),
+        pixels=st.integers(0, 40),
+    )
+    def test_pgm_header_dimensions_fuzz(self, tmp_path_factory, width, height, pixels):
+        path = tmp_path_factory.mktemp("pgm") / "0.pgm"
+        path.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + bytes(pixels))
+        if width > 0 and height > 0 and width * height <= pixels:
+            assert _read_pgm(path).shape == (height, width)
+        else:
+            with pytest.raises(FrameSourceError, match=re.escape(f"{path}: malformed PGM header")):
+                _read_pgm(path)
+
+    @given(header=st.binary(max_size=24), pixels=st.integers(0, 40))
+    def test_pgm_header_bytes_fuzz(self, tmp_path_factory, header, pixels):
+        # Whatever follows the magic, a frame comes back or the error names the file.
+        path = tmp_path_factory.mktemp("pgm") / "0.pgm"
+        path.write_bytes(b"P5" + header + bytes(pixels))
+        try:
+            luma = _read_pgm(path)
+        except FrameSourceError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert luma.size > 0

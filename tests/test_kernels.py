@@ -18,6 +18,7 @@ from cricseg.scenario import bundled_scripts, frame_stream, load_script, synthet
 from cricseg.segmenter import segment
 
 ROOT = Path(__file__).resolve().parents[1]
+FALLBACK = kernels._Impl("fallback", kernels._fallback)
 
 
 def reference_bg_update(mean, luma, lr, thresh):
@@ -56,16 +57,15 @@ def built_native(tmp_path_factory):
 
 
 @pytest.fixture()
-def native_selected(built_native, monkeypatch):
-    """Make ``get_impl("native")`` hand out the freshly built module."""
-    monkeypatch.setattr(kernels, "_native", built_native._mod)
-    monkeypatch.setattr(kernels, "NATIVE_AVAILABLE", True)
+def use_kernel(monkeypatch):
+    """Bind ``kernels.ACTIVE``, which every stage calls, for this test."""
+    return lambda impl: monkeypatch.setattr(kernels, "ACTIVE", impl)
 
 
 class TestFallback:
     def test_matches_reference(self):
         rng = np.random.default_rng(0)
-        impl = kernels.get_impl("fallback")
+        impl = FALLBACK
         mean = rng.uniform(0, 255, size=(37, 53)).astype(np.float32)
         luma = rng.integers(0, 256, size=mean.shape, dtype=np.uint8)
         want_mean, want_count = reference_bg_update(mean.copy(), luma, 0.05, 25.0)
@@ -74,14 +74,14 @@ class TestFallback:
 
     def test_band_diff_matches_reference(self):
         rng = np.random.default_rng(1)
-        impl = kernels.get_impl("fallback")
+        impl = FALLBACK
         a = rng.integers(0, 256, size=(15, 31), dtype=np.uint8)
         b = rng.integers(0, 256, size=(15, 31), dtype=np.uint8)
         want = np.abs(a.astype(int) - b.astype(int)).mean()
         assert impl.band_abs_diff_mean(a, b) == pytest.approx(want)
 
     def test_returns_count_and_updates_mean(self):
-        impl = kernels.get_impl("fallback")
+        impl = FALLBACK
         mean = np.zeros((4, 4), dtype=np.float32)
         luma = np.full((4, 4), 200, dtype=np.uint8)
         assert impl.bg_update(mean, luma, 0.1, 25.0) == 16
@@ -94,7 +94,7 @@ class TestNativeEquivalence:
     @pytest.mark.parametrize("shape", [(90, 160), (360, 640), (37, 53), (65, 67), (720, 1280)])
     def test_repeated_updates_agree(self, built_native, shape):
         rng = np.random.default_rng(2)
-        fallback = kernels.get_impl("fallback")
+        fallback = FALLBACK
         mean_n = rng.uniform(0, 255, size=shape).astype(np.float32)
         mean_f = mean_n.copy()
         # A static scene with noise plus occasional cuts, so counts span
@@ -113,7 +113,7 @@ class TestNativeEquivalence:
     def test_threshold_rounds_like_numpy(self, built_native):
         # float32(0.1) > 0.1: a deviation of exactly float32(0.1) must not
         # count in either implementation.
-        fallback = kernels.get_impl("fallback")
+        fallback = FALLBACK
         means = [np.full((2, 3), 0.1, dtype=np.float32) for _ in range(2)]
         luma = np.zeros((2, 3), dtype=np.uint8)
         counts = [impl.bg_update(m, luma, 0.5, 0.1) for impl, m in zip((built_native, fallback), means)]
@@ -122,7 +122,7 @@ class TestNativeEquivalence:
 
     def test_band_diff_agrees(self, built_native):
         rng = np.random.default_rng(3)
-        fallback = kernels.get_impl("fallback")
+        fallback = FALLBACK
         a = rng.integers(0, 256, size=(9, 200), dtype=np.uint8)
         b = rng.integers(0, 256, size=(9, 200), dtype=np.uint8)
         assert built_native.band_abs_diff_mean(a, b) == fallback.band_abs_diff_mean(a, b)
@@ -159,14 +159,14 @@ class TestNativeEquivalence:
                 built_native.band_abs_diff_mean(a, other)
 
     @pytest.mark.parametrize("name", sorted(bundled_scripts()))
-    def test_bundled_manifests_agree(self, native_selected, name):
+    def test_bundled_manifests_agree(self, built_native, use_kernel, name):
         script = load_script(bundled_scripts()[name])
 
         def clips(impl):
-            return list(segment(frame_stream(script), synthetic_backend(script), script.fps,
-                                kernel_impl=impl))
+            use_kernel(impl)
+            return list(segment(frame_stream(script), synthetic_backend(script), script.fps))
 
-        assert clips("native") == clips("fallback")
+        assert clips(built_native) == clips(FALLBACK)
 
 
 class TestNativeBuild:
@@ -186,36 +186,29 @@ class TestNativeBuild:
 
 
 class TestSelection:
-    def test_fallback_run_never_calls_native(self, built_native, monkeypatch):
+    def test_fallback_run_never_calls_native(self, built_native, use_kernel, monkeypatch):
         # The in-place build when there is one, else the temporary one.
-        module = kernels._native if kernels.NATIVE_AVAILABLE else built_native._mod
-        monkeypatch.setattr(kernels, "_native", module)
-        monkeypatch.setattr(kernels, "NATIVE_AVAILABLE", True)
+        native = kernels.ACTIVE if kernels.NATIVE_AVAILABLE else built_native
         calls = []
         for name in ("bg_update", "band_abs_diff_mean"):
-            def spy(*args, _real=getattr(module, name), _name=name):
+            def spy(*args, _real=getattr(native._mod, name), _name=name):
                 calls.append(_name)
                 return _real(*args)
 
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(native._mod, name, spy)
         script = load_script(bundled_scripts()["delivery_plus_replay"])
 
         def run(impl):
             calls.clear()
-            return list(segment(frame_stream(script), synthetic_backend(script), script.fps,
-                                kernel_impl=impl))
+            use_kernel(impl)
+            return list(segment(frame_stream(script), synthetic_backend(script), script.fps))
 
-        assert [c.liveness for c in run("native")] == ["live", "replay"]
+        assert [c.liveness for c in run(native)] == ["live", "replay"]
         assert set(calls) == {"bg_update", "band_abs_diff_mean"}
-        assert [c.liveness for c in run("fallback")] == ["live", "replay"]
+        assert [c.liveness for c in run(FALLBACK)] == ["live", "replay"]
         assert calls == []
 
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.get_impl("gpu")
-
-    def test_available_impls_contains_fallback(self):
-        assert "fallback" in kernels.available_impls()
-
     def test_active_impl_is_available(self):
-        assert kernels.ACTIVE_IMPL in kernels.available_impls()
+        assert kernels.ACTIVE.name == kernels.ACTIVE_IMPL
+        assert kernels.ACTIVE._mod is (kernels._native if kernels.NATIVE_AVAILABLE
+                                       else kernels._fallback)

@@ -20,9 +20,7 @@ from cricseg.scenario import (
     load_script,
     render_frame,
     resolve_script,
-    script_from_obj,
     script_from_lengths,
-    script_to_obj,
     synthetic_backend,
 )
 
@@ -177,11 +175,6 @@ class TestBundledScripts:
     def test_bundles_exist(self):
         names = set(bundled_scripts())
         assert {"one_delivery", "delivery_plus_replay", "match_5pct", "three_lengths"} <= names
-
-    def test_round_trip(self, tmp_path):
-        script = resolve_script("one_delivery")
-        obj = script_to_obj(script)
-        assert script_from_obj(obj) == script
 
     def test_resolve_unknown_name(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
