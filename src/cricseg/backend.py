@@ -36,7 +36,7 @@ class AnnotationLoadError(Exception):
     """Malformed annotation file; message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detected object box in full-frame pixel coordinates.
 
@@ -74,7 +74,7 @@ class Detection:
         return x + w / 2.0, y + h / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameAnnotations:
     """Classifier score plus detections for one frame."""
 
@@ -185,14 +185,24 @@ def load_precomputed(
     and ``frame_size``.
     """
     records: dict[int, FrameAnnotations] = {}
+    # The C scanner under json.loads, minus its per-call wrapping. It reads
+    # one value from the line stripped as json.loads strips it; json.loads
+    # itself runs only to word a failure, so the message is its own.
+    scan = json.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
+            text = line.strip(" \t\n\r")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
+                obj, end = scan(text, 0)
+                if end != len(text):
+                    raise ValueError
+            except (StopIteration, ValueError):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
             try:
                 index = obj["frame"]
                 front_prob = obj["front_prob"]

@@ -7,6 +7,7 @@ read is a configuration error, so a typo cannot pass unnoticed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
@@ -85,66 +86,75 @@ class PipelineConfig:
         if self.backend == "synthetic" and self.scenario is None:
             raise ConfigError("the synthetic backend needs --scenario")
         if not 0.0 < self.fps < inf:
-            raise ConfigError("fps must be positive and finite")
+            raise ConfigError("source.fps must be positive and finite")
         for name, value in (("width", self.width), ("height", self.height)):
             if value is not None and value <= 0:
                 raise ConfigError(f"source.{name} must be positive")
 
 
+def _section(cls, values: dict[str, str], fields: dict[str, tuple], **fixed):
+    """``cls`` built from config values; ``fields`` maps each of its field
+    names to (config key, cast, default). A range error from ``cls`` names
+    the config keys the user writes, not the field names."""
+    kwargs = {name: _take(values, key, cast, default)
+              for name, (key, cast, default) in fields.items()}
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as exc:
+        message = str(exc)
+        for name, (key, _, _) in fields.items():
+            message = re.sub(rf"\b{name}\b", key, message)
+        raise ConfigError(message) from exc
+
+
 def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
     """Assemble the typed config from flat key-value pairs."""
     values = dict(values)
-    try:
-        gate = GateConfig(
-            classifier_threshold=_take(values, "gate.thresholds.classifier", float, 0.5),
-            umpire_conf_min=_take(values, "gate.thresholds.umpire", float, 0.25),
-            pitch_conf_min=_take(values, "gate.thresholds.pitch", float, 0.25),
-            dual_mode=_take(values, "gate.dual_mode", str, "union"),
-            debounce_k=_take(values, "gate.debounce_k", int, 3),
-        )
-        boundary = BoundaryConfig(
-            foreground_threshold=_take(values, "boundary.foreground_threshold", float, 0.6),
-            pixel_diff_threshold=_take(values, "boundary.pixel_diff_threshold", float, 25.0),
-            learning_rate=_take(values, "boundary.learning_rate", float, 0.05),
-            init_frames=_take(values, "boundary.init_frames", int, 30),
-            min_clip_frames=_take(values, "boundary.min_clip_frames", int, 25),
-        )
-        replay = ReplayConfig(
-            band=BandSpec(_take(values, "replay.band_fraction", float, 0.15)),
-            mean_abs_diff_threshold=_take(values, "replay.threshold", float, 8.0),
-        )
-        tracker = TrackerConfig(
-            max_jump_px=_take(values, "tracker.max_jump_px", float, 120.0),
-            max_gap_frames=_take(values, "tracker.max_gap_frames", int, 3),
-        )
-        pitch = PitchSpec(
-            full_max_m=_take(values, "pitch.full_max_m", float, 6.0),
-            good_max_m=_take(values, "pitch.good_max_m", float, 8.0),
-            tilt_deg=_take(values, "pitch.tilt_deg", float, 20.0),
-        )
-        crop = CropSpec(
-            top=_take(values, "crop.top", float, 0.0),
-            bottom=_take(values, "crop.bottom", float, 0.0),
-            left=_take(values, "crop.left", float, 0.0),
-            right=_take(values, "crop.right", float, 0.0),
-        )
-        cfg = PipelineConfig(
-            source=_take(values, "source.path", str, None),
-            scenario=_take(values, "source.scenario", str, None),
-            backend=_take(values, "backend.kind", str, "synthetic"),
-            fps=_take(values, "source.fps", float, 50.0),
-            width=_take(values, "source.width", int, None),
-            height=_take(values, "source.height", int, None),
-            strategy=_take(values, "gate.strategy", str, "dual"),
-            gate=gate,
-            boundary=boundary,
-            replay=replay,
-            tracker=tracker,
-            pitch=pitch,
-            crop=crop,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gate = _section(GateConfig, values, {
+        "classifier_threshold": ("gate.thresholds.classifier", float, 0.5),
+        "umpire_conf_min": ("gate.thresholds.umpire", float, 0.25),
+        "pitch_conf_min": ("gate.thresholds.pitch", float, 0.25),
+        "dual_mode": ("gate.dual_mode", str, "union"),
+        "debounce_k": ("gate.debounce_k", int, 3),
+    })
+    boundary = _section(BoundaryConfig, values, {
+        "foreground_threshold": ("boundary.foreground_threshold", float, 0.6),
+        "pixel_diff_threshold": ("boundary.pixel_diff_threshold", float, 25.0),
+        "learning_rate": ("boundary.learning_rate", float, 0.05),
+        "init_frames": ("boundary.init_frames", int, 30),
+        "min_clip_frames": ("boundary.min_clip_frames", int, 25),
+    })
+    band = _section(BandSpec, values, {"band_fraction": ("replay.band_fraction", float, 0.15)})
+    replay = _section(ReplayConfig, values, {
+        "mean_abs_diff_threshold": ("replay.threshold", float, 8.0),
+    }, band=band)
+    tracker = _section(TrackerConfig, values, {
+        "max_jump_px": ("tracker.max_jump_px", float, 120.0),
+        "max_gap_frames": ("tracker.max_gap_frames", int, 3),
+    })
+    pitch = _section(PitchSpec, values, {
+        "full_max_m": ("pitch.full_max_m", float, 6.0),
+        "good_max_m": ("pitch.good_max_m", float, 8.0),
+        "tilt_deg": ("pitch.tilt_deg", float, 20.0),
+    })
+    crop = _section(CropSpec, values, {
+        side: (f"crop.{side}", float, 0.0) for side in ("top", "bottom", "left", "right")
+    })
+    cfg = PipelineConfig(
+        source=_take(values, "source.path", str, None),
+        scenario=_take(values, "source.scenario", str, None),
+        backend=_take(values, "backend.kind", str, "synthetic"),
+        fps=_take(values, "source.fps", float, 50.0),
+        width=_take(values, "source.width", int, None),
+        height=_take(values, "source.height", int, None),
+        strategy=_take(values, "gate.strategy", str, "dual"),
+        gate=gate,
+        boundary=boundary,
+        replay=replay,
+        tracker=tracker,
+        pitch=pitch,
+        crop=crop,
+    )
     if values:
         raise ConfigError(f"unknown config key: {', '.join(sorted(values))}")
     return cfg

@@ -9,6 +9,7 @@ frame's ``luma`` may be a read-only view of the bytes read from the source.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from math import inf
@@ -147,41 +148,45 @@ def write_pgm(luma: np.ndarray, path: str | Path) -> None:
 
 _NUMBERED = re.compile(r"(\d+)\.(pgm|png)$", re.IGNORECASE)
 
+# P5 header: magic, width, height, maxval, then one whitespace byte. A
+# token is a run of non-whitespace bytes (bytes.isspace: space, \t, \n,
+# \v, \f, \r). Before a token, whitespace and '#' comments to the end of
+# their line may come in any order; a '#' inside a token is part of it.
+# A comment must end in \n: one that runs to the end of the data leaves
+# the header incomplete, and no match can backtrack into a comment.
+_WS = rb" \t\n\r\x0b\x0c"
+_SKIP = rb"(?:[%s]|#[^\n]*\n)*" % _WS
+_TOKEN = rb"([^%s#][^%s]*)" % (_WS, _WS)
+_PGM_HEADER = re.compile(
+    rb"P5%s%s[%s]%s%s[%s]%s%s[%s]?"
+    % (_SKIP, _TOKEN, _WS, _SKIP, _TOKEN, _WS, _SKIP, _TOKEN, _WS)
+)
 
-def _read_pgm(path: Path) -> np.ndarray:
-    data = path.read_bytes()
+
+def _read_pgm(path: str | Path) -> np.ndarray:
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     if not data.startswith(b"P5"):
         raise FrameSourceError(f"{path}: only binary (P5) PGM is supported")
-    # Header: magic, width, height, maxval; '#' comments allowed between tokens.
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FrameSourceError(f"{path}: malformed PGM header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError as exc:
         raise FrameSourceError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise FrameSourceError(f"{path}: only 8-bit PGM is supported")
     # Checked before numpy sees them: a huge count overflows, a negative
     # one means "all the rest", and a zero one makes an empty frame.
+    pos = header.end()
     if width <= 0 or height <= 0 or width * height > len(data) - pos:
         raise FrameSourceError(f"{path}: malformed PGM header")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pixels.reshape(height, width)
 
 
-def _read_png(path: Path) -> np.ndarray:
+def _read_png(path: str) -> np.ndarray:
     try:
         from PIL import Image
     except ImportError as exc:
@@ -193,16 +198,20 @@ def _read_png(path: Path) -> np.ndarray:
 
 
 def _image_dir_frames(directory: Path) -> Iterator[np.ndarray]:
+    # Paths stay str, spelt as ``directory / name`` would print ("." adds
+    # no prefix), since they name the file in errors.
+    prefix = "" if str(directory) == "." else os.path.join(directory, "")
     entries = []
-    for p in directory.iterdir():
-        m = _NUMBERED.search(p.name)
-        if m:
-            entries.append((int(m.group(1)), p))
+    with os.scandir(directory) as it:
+        for entry in it:
+            m = _NUMBERED.search(entry.name)
+            if m:
+                entries.append((int(m.group(1)), prefix + entry.name, m.group(2).lower()))
     if not entries:
         raise FrameSourceError(f"{directory}: no numbered .pgm/.png files found")
     entries.sort()
-    for _, path in entries:
-        if path.suffix.lower() == ".pgm":
+    for _, path, ext in entries:
+        if ext == "pgm":
             yield _read_pgm(path)
         else:
             yield _read_png(path)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
@@ -86,6 +87,8 @@ class SceneSegment:
             raise ScenarioError("segment must have start >= 0 and end >= start")
         if self.delivery is not None and self.kind != FRONT_VIEW:
             raise ScenarioError("only front-view segments carry a delivery")
+        if self.base_level is not None and not 0 <= self.base_level <= 255:
+            raise ScenarioError("base_level must be in [0, 255]")
 
     @property
     def length(self) -> int:
@@ -371,36 +374,77 @@ def frame_stream(script: ScenarioScript, band: BandSpec | None = None) -> FrameS
 
 # --- script loading -----------------------------------------------------------
 
+# What a script value must be, as worded in errors, and the check for it:
+# nothing is coerced, a bool is no number, and a JSON integer is finite.
+_INT, _NUMBER, _BOOL = "an integer", "a finite number", "true or false"
+_CHECKS = {
+    _INT: lambda v: type(v) is int,
+    _NUMBER: lambda v: type(v) is int or (type(v) is float and isfinite(v)),
+    _BOOL: lambda v: type(v) is bool,
+}
+_DELIVERY_FIELDS = {
+    "bounce_distance_m": _NUMBER,
+    "release_offset": _INT,
+    "descent_frames": _INT,
+    "ascent_frames": _INT,
+    "zoom": _NUMBER,
+}
+
+
+def _value(obj: dict, key: str, where: str, kind: str, default=None):
+    """``obj[key]``, or ``default`` when given and the key is absent;
+    ScenarioError naming the field unless it is ``kind``."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not _CHECKS[kind](value):
+        raise ScenarioError(f"field '{where}{key}' must be {kind}")
+    return value
+
+
 def script_from_obj(obj: dict) -> ScenarioScript:
+    """Build a script from its JSON object; values are checked, not coerced."""
     try:
         segments = []
-        for s in obj["segments"]:
+        for i, s in enumerate(obj["segments"]):
+            at = f"segments[{i}]."
             delivery = None
             if s.get("delivery"):
+                for key, kind in _DELIVERY_FIELDS.items():
+                    if key in s["delivery"]:
+                        _value(s["delivery"], key, at + "delivery.", kind)
                 delivery = DeliverySpec(**s["delivery"])
+            base_level = s.get("base_level")
             segments.append(
                 SceneSegment(
                     kind=s["kind"],
-                    start=int(s["start"]),
-                    end=int(s["end"]),
-                    scorecard=bool(s.get("scorecard", True)),
+                    start=_value(s, "start", at, _INT),
+                    end=_value(s, "end", at, _INT),
+                    scorecard=_value(s, "scorecard", at, _BOOL, True),
                     delivery=delivery,
-                    base_level=s.get("base_level"),
+                    base_level=None if base_level is None else _value(s, "base_level", at, _INT),
                 )
             )
+        fps = _value(obj, "fps", "", _NUMBER, 50.0)
+        if fps <= 0:
+            raise ScenarioError("field 'fps' must be positive")
         return ScenarioScript(
             tuple(segments),
-            width=int(obj.get("width", 640)),
-            height=int(obj.get("height", 360)),
-            fps=float(obj.get("fps", 50.0)),
+            width=_value(obj, "width", "", _INT, 640),
+            height=_value(obj, "height", "", _INT, 360),
+            fps=float(fps),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario script: {exc}") from exc
 
 
 def load_script(path: str | Path) -> ScenarioScript:
+    """Load a script file; any error it raises names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return script_from_obj(json.load(fh))
+        try:
+            return script_from_obj(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def bundled_dir() -> Path:

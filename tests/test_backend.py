@@ -131,6 +131,65 @@ class TestLoader:
         with pytest.raises(AnnotationLoadError, match="line 2"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '\x0c{"frame": 1, "front_prob": 0.5}',  # form feed: not JSON whitespace
+            ' \t\x0b{"frame": 1, "front_prob": 0.5}',
+            '\ufeff{"frame": 1, "front_prob": 0.5}',  # byte order mark
+            '{"frame": 1, "front_prob": 0.5} x',  # trailing garbage
+            '\t{"frame": 1, "front_prob": 0.5}{}',
+            '{"frame": 1, "front_prob": 0.5}\x0c',
+            '   {"frame": 1, "front_prob": 0.5',  # truncated after indentation
+            '\t\t{"frame": 1, "front_prob": "\\x"}',  # bad escape, inside the scanner
+            '  {"frame": 1, "front_prob": nan}',
+            '{"frame": 1, "front_prob": Infinit}',
+        ],
+    )
+    def test_invalid_json_worded_as_json_loads(self, tmp_path, line):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(RECORD) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line + "\n")
+        with pytest.raises(AnnotationLoadError) as err:
+            load_precomputed(path)
+        assert str(err.value) == f"line 2: invalid JSON: {expected.value}"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # Any whitespace str.isspace knows makes a blank line, not only JSON's.
+        path = tmp_path / "ann.jsonl"
+        path.write_text(" \n\x0c\n\t\x0b\u2028\n" + json.dumps(RECORD) + "\n\n", encoding="utf-8")
+        assert load_precomputed(path).by_index(0).front_prob == 0.97
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('  {"frame": 1, "front_prob": 0.5}  ', None),
+            ('\t{"frame": 1, "front_prob": 0.5}\r', None),
+            ('{"frame": 1, "front_prob": NaN}', "front_prob must be in [0, 1]"),
+            ('{"frame": 1, "front_prob": -Infinity}', "front_prob must be in [0, 1]"),
+            ('{"frame": 1, "front_prob": 0.5, "detections": [{"label": "ball", '
+             '"box": [1, 2, Infinity, 4], "conf": 0.5}]}', "detection box values must be finite"),
+            ('{"frame": 1, "front_prob": 0.5, "detections": [{"label": "\\ud800", '
+             '"box": [1, 2, 3, 4], "conf": 0.5}]}', "unknown object label: '\\ud800'"),
+            ('{"frame": 1, "front_prob": 0.5, "detections": [{"label": "ball", '
+             '"box": [1, 2, 3, 4], "conf": 0.5, "space": "\\udfff"}]}',
+             "unknown coordinate space '\\udfff'"),
+        ],
+    )
+    def test_lines_json_loads_accepts_are_read_alike(self, tmp_path, line, error):
+        # NaN, Infinity and lone surrogates parse, as json.loads parses
+        # them, and then fail the value checks.
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps(RECORD) + "\n" + line + "\n", encoding="utf-8", newline="")
+        json.loads(line)
+        if error is None:
+            assert load_precomputed(path).by_index(1).front_prob == 0.5
+        else:
+            with pytest.raises(AnnotationLoadError) as err:
+                load_precomputed(path)
+            assert str(err.value) == f"line 2: {error}"
+
     def test_empty_file_errors_on_every_frame(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

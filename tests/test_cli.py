@@ -20,6 +20,7 @@ from cricseg.scenario import (
     FRONT_VIEW,
     OTHER_VIEW,
     DeliverySpec,
+    bundled_scripts,
     frame_stream,
     resolve_script,
     script_from_lengths,
@@ -228,6 +229,20 @@ class TestSegment:
         out = raw_run.tmp / "size_m.jsonl"
         assert main(["segment", *raw_run.common, *size, "--out", str(out)]) == 1
         assert f"source.{size[0][2:]} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("end", 149.9), ("end", "abc"), ("scorecard", "false")],
+    )
+    def test_scenario_script_value_is_located_runtime_error(self, tmp_path, capsys, field, value):
+        obj = json.loads(bundled_scripts()["one_delivery"].read_text(encoding="utf-8"))
+        obj["segments"][1][field] = value
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        assert main(["segment", "--scenario", str(script), "--out", str(out)]) == 2
+        assert f"{script}: field 'segments[1].{field}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_backend_failure_mid_stream_is_runtime_error(self, tmp_path, capsys):
@@ -570,6 +585,43 @@ class TestConfigFile:
         code = main(["segment", "--config", str(cfg), "--scenario", "one_delivery", "--out", str(out)])
         assert code == 1
         assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("gate.thresholds.classifier", "1.5"),
+            ("gate.thresholds.umpire", "-0.1"),
+            ("gate.thresholds.pitch", "2"),
+            ("gate.dual_mode", "both"),
+            ("gate.debounce_k", "0"),
+            ("boundary.foreground_threshold", "0"),
+            ("boundary.pixel_diff_threshold", "-1"),
+            ("boundary.learning_rate", "2"),
+            ("boundary.init_frames", "0"),
+            ("boundary.min_clip_frames", "0"),
+            ("replay.band_fraction", "0"),
+            ("replay.threshold", "-1"),
+            ("tracker.max_jump_px", "0"),
+            ("tracker.max_gap_frames", "0"),
+            ("pitch.full_max_m", "0"),
+            ("pitch.good_max_m", "3"),
+            ("pitch.tilt_deg", "90"),
+            ("crop.top", "1"),
+            ("crop.bottom", "-0.5"),
+            ("crop.left", "1.5"),
+            ("crop.right", "1"),
+            ("source.fps", "0"),
+        ],
+    )
+    def test_range_error_names_config_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        code = main(["segment", "--config", str(cfg), "--scenario", "one_delivery", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cricseg.frames import (
     BandSpec,
@@ -19,6 +19,71 @@ from cricseg.frames import (
     stream_from_arrays,
     write_pgm,
 )
+
+
+def _token_loop_read_pgm(path):
+    """A byte-at-a-time P5 header parser: the reference for what the
+    header grammar accepts and for the error each header gets."""
+    data = path.read_bytes()
+    if not data.startswith(b"P5"):
+        raise FrameSourceError(f"{path}: only binary (P5) PGM is supported")
+    tokens = []
+    pos = 2
+    while len(tokens) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        tokens.append(data[start:pos])
+    pos += 1
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise FrameSourceError(f"{path}: malformed PGM header") from exc
+    if maxval != 255:
+        raise FrameSourceError(f"{path}: only 8-bit PGM is supported")
+    if width <= 0 or height <= 0 or width * height > len(data) - pos:
+        raise FrameSourceError(f"{path}: malformed PGM header")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    return pixels.reshape(height, width)
+
+
+def _outcome(read, path):
+    try:
+        luma = read(path)
+    except FrameSourceError as exc:
+        return str(exc)
+    return luma.shape, luma.tobytes()
+
+
+# Header pieces: every ASCII whitespace byte, bytes that str (but not
+# bytes) counts as whitespace, comments with and without their newline,
+# and tokens that int() reads, misreads or rejects. Well-formed choices
+# are drawn about half of the time, so that many headers parse.
+_PGM_ASCII_SPACE = st.sampled_from([bytes([b]) for b in b" \t\n\r\x0b\x0c"])
+_PGM_PIECE = st.one_of(
+    _PGM_ASCII_SPACE,
+    st.sampled_from([b"\x1c", b"\x1f", b"\x85", b"\xa0"]),
+    st.builds(
+        lambda text, end: b"#" + text + end,
+        st.binary(max_size=6).filter(lambda b: b"\n" not in b),
+        st.sampled_from([b"", b"\n", b"\r\n"]),
+    ),
+)
+_PGM_SEPARATOR = st.one_of(
+    st.lists(_PGM_ASCII_SPACE, min_size=1, max_size=2).map(b"".join),
+    st.lists(_PGM_PIECE, max_size=3).map(b"".join),
+)
+_PGM_ODD_TOKEN = st.sampled_from(
+    [b"+3", b"-2", b"0", b"0255", b"1_0", b"2#", b"25#5", b"254", b"x", b"\xff", b"\x00", b""]
+)
+_PGM_SIZE = st.one_of(st.integers(1, 4).map(b"%d".__mod__), _PGM_ODD_TOKEN)
+_PGM_MAXVAL = st.one_of(st.just(b"255"), _PGM_ODD_TOKEN)
 
 
 def make_frame(h=100, w=100, value=0, index=0):
@@ -179,6 +244,27 @@ class TestStreams:
         else:
             with pytest.raises(FrameSourceError, match=re.escape(f"{path}: malformed PGM header")):
                 _read_pgm(path)
+
+    @settings(max_examples=400)
+    @example(seps=[b"\x0b", b"\x0c", b"\r", b"\t"], tokens=(b"2", b"3", b"255"),
+             pixels=bytes(6), cut=None)
+    @example(seps=[b"# 9 9 255", b"\n#\n ", b"#x\n\n", b" "], tokens=(b"1", b"2", b"255"),
+             pixels=bytes(2), cut=None)
+    @example(seps=[b"#c", b" ", b"\t", b" "], tokens=(b"1", b"1", b"255"), pixels=b"x", cut=None)
+    @given(
+        seps=st.lists(_PGM_SEPARATOR, min_size=4, max_size=4),
+        tokens=st.tuples(_PGM_SIZE, _PGM_SIZE, _PGM_MAXVAL),
+        pixels=st.binary(max_size=30),
+        cut=st.one_of(st.none(), st.integers(0, 50)),
+    )
+    def test_pgm_header_matches_token_loop(self, tmp_path_factory, seps, tokens, pixels, cut):
+        # Same frame or same error text as the token loop, on headers built
+        # from comments, whitespace and tokens, whole or truncated.
+        path = tmp_path_factory.mktemp("pgm") / "0.pgm"
+        header = b"".join(sep + token for sep, token in zip(seps, tokens)) + seps[3]
+        data = b"P5" + header + pixels
+        path.write_bytes(data if cut is None else data[:cut])
+        assert _outcome(_read_pgm, path) == _outcome(_token_loop_read_pgm, path)
 
     @given(header=st.binary(max_size=24), pixels=st.integers(0, 40))
     def test_pgm_header_bytes_fuzz(self, tmp_path_factory, header, pixels):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -185,3 +188,82 @@ class TestBundledScripts:
         copy = tmp_path / "copy.json"
         copy.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
         assert load_script(copy) == resolve_script("one_delivery")
+
+
+def _edited_bundle(tmp_path, edit):
+    """A copy of one_delivery's script file with ``edit`` applied to its object."""
+    obj = json.loads(bundled_scripts()["one_delivery"].read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def _set(path, value):
+    """Set the value at a dotted path such as ``segments.1.end``."""
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+
+    def edit(obj):
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+class TestScriptValues:
+    @pytest.mark.parametrize(
+        "path, value, kind",
+        [
+            ("segments.1.end", 149.9, "an integer"),
+            ("segments.1.end", "abc", "an integer"),
+            ("segments.0.start", True, "an integer"),
+            ("segments.0.scorecard", "false", "true or false"),
+            ("segments.2.scorecard", 0, "true or false"),
+            ("width", 640.0, "an integer"),
+            ("height", "360", "an integer"),
+            ("fps", "50", "a finite number"),
+            ("fps", float("nan"), "a finite number"),
+            ("fps", True, "a finite number"),
+            ("segments.0.base_level", "x", "an integer"),
+            ("segments.1.delivery.descent_frames", 10.5, "an integer"),
+            ("segments.1.delivery.zoom", "1.2", "a finite number"),
+            ("segments.1.delivery.bounce_distance_m", float("inf"), "a finite number"),
+        ],
+    )
+    def test_values_are_checked_not_coerced(self, tmp_path, path, value, kind):
+        script = _edited_bundle(tmp_path, _set(path, value))
+        field = re.sub(r"\.(\d+)", r"[\1]", path)
+        with pytest.raises(ScenarioError) as err:
+            load_script(script)
+        assert str(err.value) == f"{script}: field '{field}' must be {kind}"
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("fps", 0, "field 'fps' must be positive"),
+            ("segments.0.base_level", -5, "base_level must be in [0, 255]"),
+            ("segments.0", [1], "malformed scenario script"),
+        ],
+    )
+    def test_bad_values_name_the_file(self, tmp_path, path, value, message):
+        script = _edited_bundle(tmp_path, _set(path, value))
+        with pytest.raises(ScenarioError) as err:
+            load_script(script)
+        assert str(err.value).startswith(f"{script}: ")
+        assert message in str(err.value)
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"segments": [', encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_script(path)
+        assert str(err.value).startswith(f"{path}: invalid JSON: ")
+
+    def test_integer_fps_and_absent_defaults_load(self, tmp_path):
+        def edit(obj):
+            obj["fps"] = 50
+            del obj["width"], obj["height"], obj["segments"][0]["scorecard"]
+        script = load_script(_edited_bundle(tmp_path, edit))
+        assert script == resolve_script("one_delivery")
+        assert type(script.fps) is float
