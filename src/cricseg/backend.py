@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -22,6 +22,15 @@ OBJECT_LABELS = frozenset({"pitch", "umpire", "batsman", "bowler", "ball"})
 
 # The types json.loads gives a JSON number; bool, a subclass of int, is not one.
 _NUMBER = (int, float)
+
+
+def _float(value: int | float) -> float:
+    """A JSON number as a float. An integer too large for one becomes an
+    infinity, so the finite and range checks word it as they word inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
 
 
 class AnnotationError(Exception):
@@ -98,6 +107,18 @@ class FrameAnnotations:
         return tuple(d for d in self.detections if d.label == label)
 
 
+# The loader builds most records from values it has already checked as
+# __post_init__ would; it sets their slots directly, skipping the frozen
+# __init__ and the checks it repeats.
+_new = object.__new__
+_set_label = Detection.label.__set__
+_set_box = Detection.box.__set__
+_set_confidence = Detection.confidence.__set__
+_set_frame_index = FrameAnnotations.frame_index.__set__
+_set_front_prob = FrameAnnotations.front_prob.__set__
+_set_detections = FrameAnnotations.detections.__set__
+
+
 class Backend(Protocol):
     """Anything that can annotate frames, streamed or by index."""
 
@@ -147,7 +168,7 @@ def _parse_detection(
         raise AnnotationLoadError(f"line {lineno}: field 'box' must be an array of 4 numbers")
     if type(conf) not in _NUMBER:
         raise AnnotationLoadError(f"line {lineno}: field 'conf' must be a number")
-    x, y, w, h = float(x), float(y), float(w), float(h)
+    x, y, w, h = _float(x), _float(y), _float(w), _float(h)
     space = obj.get("space", "full")
     if space == "cropped":
         if crop is None or frame_size is None:
@@ -159,13 +180,54 @@ def _parse_detection(
     elif space != "full":
         raise AnnotationLoadError(f"line {lineno}: unknown coordinate space {space!r}")
     try:
-        det = Detection(label, (x, y, w, h), float(conf))
+        det = Detection(label, (x, y, w, h), _float(conf))
     except ValueError as exc:
         raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
     if frame_size is not None:
         fw, fh = frame_size
         if x + w > fw or y + h > fh:
             raise AnnotationLoadError(f"line {lineno}: detection box exceeds frame bounds")
+    return det
+
+
+def _checked_detection(obj: object, fw: float, fh: float) -> Detection | None:
+    """The Detection of a full-frame detection object whose box and
+    confidence are floats that pass every check of ``_parse_detection``,
+    with (fw, fh) as the frame size; None for any other object, which
+    ``_parse_detection`` then loads or words the error for."""
+    if type(obj) is not dict or "space" in obj:
+        return None
+    label = obj.get("label")
+    box = obj.get("box")
+    conf = obj.get("conf")
+    if not (
+        type(label) is str
+        and label in OBJECT_LABELS
+        and type(box) is list
+        and len(box) == 4
+        and type(conf) is float
+        and 0.0 <= conf <= 1.0
+    ):
+        return None
+    x, y, w, h = box
+    # NaN fails every comparison; the upper bounds keep out infinities.
+    if not (
+        type(x) is float
+        and type(y) is float
+        and type(w) is float
+        and type(h) is float
+        and 0.0 <= x < inf
+        and 0.0 <= y < inf
+        and 0.0 < w < inf
+        and 0.0 < h < inf
+        and x + w <= fw
+        and y + h <= fh
+    ):
+        return None
+    det = _new(Detection)
+    _set_label(det, label)
+    _set_box(det, (x, y, w, h))
+    _set_confidence(det, conf)
     return det
 
 
@@ -189,7 +251,9 @@ def load_precomputed(
     # one value from the line stripped as json.loads strips it; json.loads
     # itself runs only to word a failure, so the message is its own.
     scan = json.JSONDecoder().scan_once
-    with open(path, "r", encoding="utf-8") as fh:
+    frame_w, frame_h = frame_size if frame_size is not None else (inf, inf)
+    # Only LF ends a record: a CR alone is JSON whitespace inside one.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -221,11 +285,22 @@ def load_precomputed(
                 raise AnnotationLoadError(
                     f"line {lineno}: field 'detections' must be a JSON array"
                 )
-            dets = tuple(_parse_detection(d, lineno, crop, frame_size) for d in detections)
-            try:
-                records[index] = FrameAnnotations(index, float(front_prob), dets)
-            except ValueError as exc:
-                raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
+            dets = tuple([
+                _checked_detection(d, frame_w, frame_h)
+                or _parse_detection(d, lineno, crop, frame_size)
+                for d in detections
+            ])
+            if type(front_prob) is float and 0.0 <= front_prob <= 1.0:
+                ann = _new(FrameAnnotations)
+                _set_frame_index(ann, index)
+                _set_front_prob(ann, front_prob)
+                _set_detections(ann, dets)
+            else:
+                try:
+                    ann = FrameAnnotations(index, _float(front_prob), dets)
+                except ValueError as exc:
+                    raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
+            records[index] = ann
     return MappingBackend(records)
 
 

@@ -191,7 +191,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def _read_manifest(path: str | Path) -> list[tuple[int, int]]:
     """(start, end) of every manifest row; ValueError names path:line."""
     clips = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Only LF ends a row: a CR alone is JSON whitespace inside one.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

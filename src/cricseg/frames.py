@@ -19,6 +19,9 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 
+_UINT8 = np.dtype(np.uint8)
+
+
 class FrameSourceError(Exception):
     """Unreadable source, inconsistent dimensions, or bad parameters."""
 
@@ -39,15 +42,20 @@ class Frame:
     luma: np.ndarray
 
     def __post_init__(self) -> None:
+        luma = self.luma
         if self.index < 0:
             raise ValueError("frame index must be >= 0")
-        if self.luma.ndim != 2 or self.luma.dtype != np.uint8:
+        if luma.ndim != 2 or luma.dtype != _UINT8:
             raise ValueError("luma must be a 2-D uint8 array")
-        if self.luma.shape[0] == 0 or self.luma.shape[1] == 0:
+        if luma.shape[0] == 0 or luma.shape[1] == 0:
             raise ValueError("frame dimensions must be positive")
-        if not self.luma.flags.c_contiguous:
-            object.__setattr__(self, "luma", np.ascontiguousarray(self.luma))
-        self.luma.flags.writeable = False
+        flags = luma.flags
+        if not flags.c_contiguous:
+            luma = np.ascontiguousarray(luma)
+            object.__setattr__(self, "luma", luma)
+            flags = luma.flags
+        if flags.writeable:
+            flags.writeable = False
 
     @property
     def height(self) -> int:
@@ -133,7 +141,9 @@ def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
                 raise FrameSourceError(
                     f"frame {i} dimensions {arr.shape} differ from {shape}"
                 )
-            yield Frame(i, i * 1000.0 / fps, np.ascontiguousarray(arr, dtype=np.uint8))
+            if type(arr) is not np.ndarray or arr.dtype != _UINT8:
+                arr = np.ascontiguousarray(arr, dtype=np.uint8)
+            yield Frame(i, i * 1000.0 / fps, arr)
 
     return FrameStream(gen(), fps)
 
@@ -163,9 +173,42 @@ _PGM_HEADER = re.compile(
 )
 
 
-def _read_pgm(path: str | Path) -> np.ndarray:
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.readall()
+def _read_file(path: str | Path, size_hint: int | None = None) -> bytes:
+    """All bytes of a file, read without a file object.
+
+    ``size_hint`` is the size the file is expected to have, or None to ask
+    the file system. A file no larger than that takes one read, plus the
+    one that finds its end.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if size_hint is None:
+            size_hint = os.fstat(fd).st_size
+        chunks = []
+        total = 0
+        # Each read asks for what is left of room for hint + 1 bytes, so
+        # the read that finds the end asks for one byte, not another
+        # frame-sized buffer; once the room is full, it doubles.
+        room = size_hint + 1
+        while chunk := os.read(fd, room):
+            chunks.append(chunk)
+            total += len(chunk)
+            room -= len(chunk)
+            if not room:
+                room = total
+    except OSError as exc:
+        # A directory opens; only its read fails, and that names no file.
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _pgm_header(path: str | Path, data: bytes) -> tuple[int, int, int]:
+    """Width, height and pixel offset of a P5 header. Whether the data
+    holds that many pixels is left to ``_pgm_pixels``."""
     if not data.startswith(b"P5"):
         raise FrameSourceError(f"{path}: only binary (P5) PGM is supported")
     header = _PGM_HEADER.match(data)
@@ -177,13 +220,22 @@ def _read_pgm(path: str | Path) -> np.ndarray:
         raise FrameSourceError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise FrameSourceError(f"{path}: only 8-bit PGM is supported")
-    # Checked before numpy sees them: a huge count overflows, a negative
-    # one means "all the rest", and a zero one makes an empty frame.
-    pos = header.end()
-    if width <= 0 or height <= 0 or width * height > len(data) - pos:
+    if width <= 0 or height <= 0:
         raise FrameSourceError(f"{path}: malformed PGM header")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width)
+    return width, height, header.end()
+
+
+def _pgm_pixels(path: str | Path, data: bytes, width: int, height: int, pos: int) -> np.ndarray:
+    # Checked before numpy sees the count: a huge one overflows.
+    if width * height > len(data) - pos:
+        raise FrameSourceError(f"{path}: malformed PGM header")
+    return np.ndarray((height, width), _UINT8, data, pos)
+
+
+def _read_pgm(path: str | Path) -> np.ndarray:
+    """The luma plane of one PGM file, read and parsed on its own."""
+    data = _read_file(path)
+    return _pgm_pixels(path, data, *_pgm_header(path, data))
 
 
 def _read_png(path: str) -> np.ndarray:
@@ -210,11 +262,32 @@ def _image_dir_frames(directory: Path) -> Iterator[np.ndarray]:
     if not entries:
         raise FrameSourceError(f"{directory}: no numbered .pgm/.png files found")
     entries.sort()
+    # The stream index counts files, so the numbers in their names must
+    # count too, or frames would meet another frame's annotations.
+    for (prev, prev_path, _), (num, path, _) in zip(entries, entries[1:]):
+        if num == prev:
+            raise FrameSourceError(f"{prev_path} and {path}: both are frame {num}")
+        if num != prev + 1:
+            raise FrameSourceError(
+                f"{prev_path} and {path}: frame numbers skip from {prev} to {num}"
+            )
+    # Each file is read with the previous one's size as the hint. A file
+    # that starts with the previous PGM header's exact bytes reuses its
+    # parse: a token runs to the next whitespace byte, and whitespace and
+    # comments match only one way, so the regex would match those bytes
+    # alike and stop at the same place.
+    size = None
+    head = None
     for _, path, ext in entries:
-        if ext == "pgm":
-            yield _read_pgm(path)
-        else:
+        if ext == "png":
             yield _read_png(path)
+            continue
+        data = _read_file(path, size)
+        size = len(data)
+        if head is None or not data.startswith(head):
+            width, height, pos = _pgm_header(path, data)
+            head = data[:pos]
+        yield _pgm_pixels(path, data, width, height, pos)
 
 
 def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarray]:

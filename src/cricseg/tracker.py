@@ -133,6 +133,15 @@ def trajectory_to_obj(trajectory: Trajectory) -> dict:
     }
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a number converts to a finite float; an integer too large
+    for a float does not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def trajectory_from_obj(obj: dict) -> Trajectory:
     """Inverse of trajectory_to_obj; ValueError names the first bad field."""
     if not isinstance(obj, dict):
@@ -148,7 +157,7 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
             and len(p) == 3
             and isinstance(p[0], int)
             and p[0] >= 0
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in p[1:])
+            and all(isinstance(v, (int, float)) and _finite(v) for v in p[1:])
             and not any(isinstance(v, bool) for v in p)
         ):
             raise ValueError(

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cricseg.backend import (
     AnnotationError,
@@ -11,6 +11,8 @@ from cricseg.backend import (
     Detection,
     FrameAnnotations,
     MappingBackend,
+    _float,
+    _parse_detection,
     dump_annotations,
     load_precomputed,
 )
@@ -19,6 +21,62 @@ from cricseg.frames import CropSpec
 
 def write_lines(path, objs):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8")
+
+
+# JSON values a detection field may hold: floats in and around range,
+# specials, integers (one too large for a float), bools, strings, null.
+_ANY_VALUE = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, -1.0, 1e-300, 1e308, float("nan"), float("inf"), float("-inf"),
+        0, 1, -1, 10**400, -(10**400), True, False, "1", "", None,
+    ]),
+    st.floats(-2.0, 200.0),
+    st.integers(-3, 200),
+)
+
+
+@st.composite
+def _detection(draw):
+    """A valid detection object, or one with a single field replaced,
+    removed or added, so that most fail one check and one check only."""
+    det = {
+        "label": draw(st.sampled_from(["pitch", "umpire", "batsman", "bowler", "ball"])),
+        "box": draw(st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4)),
+        "conf": draw(st.floats(0.0, 1.0)),
+    }
+    change = draw(st.sampled_from([None, "label", "box", 0, 1, 2, 3, "conf", "space", "drop"]))
+    if change == "label":
+        det["label"] = draw(st.sampled_from(["keeper", "", "Ball", 3, None, ["ball"]]))
+    elif change == "box":
+        det["box"] = draw(st.one_of(
+            st.lists(st.floats(0.0, 100.0), min_size=3, max_size=5),
+            st.sampled_from(["1234", None, {"x": 1}]),
+        ))
+    elif change in (0, 1, 2, 3):
+        det["box"][change] = draw(_ANY_VALUE)
+    elif change == "conf":
+        det["conf"] = draw(_ANY_VALUE)
+    elif change == "space":
+        det["space"] = draw(st.sampled_from(["full", "cropped", "other", None]))
+    elif change == "drop":
+        del det[draw(st.sampled_from(["label", "box", "conf"]))]
+    return det
+
+
+def _fields(ann):
+    """Every field of a record, with each number's type and repr, so that
+    1 and 1.0, or 0.0 and -0.0, differ."""
+    def num(v):
+        return type(v).__name__, repr(v)
+
+    return (
+        num(ann.frame_index),
+        num(ann.front_prob),
+        tuple(
+            (type(d).__name__, d.label, tuple(num(v) for v in d.box), num(d.confidence))
+            for d in ann.detections
+        ),
+    )
 
 
 RECORD = {
@@ -291,6 +349,107 @@ class TestLoader:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(AnnotationLoadError, match="line 1"):
             load_precomputed(path, frame_size=frame_size)
+
+
+    @settings(max_examples=600)
+    @example(dets=[{"label": "ball", "box": [150.0, 80.0, 10.0, 10.0], "conf": 0.5}],
+             front_prob=0.5, crop=None, frame_size=(160, 90))
+    @example(dets=[{"label": "ball", "box": [150.0, 1.0, 10.5, 2.0], "conf": 0.5}],
+             front_prob=0.5, crop=None, frame_size=(160, 90))
+    @example(dets=[{"label": "ball", "box": [1.0, 80.0, 2.0, 10.5], "conf": 0.5}],
+             front_prob=0.5, crop=None, frame_size=(160, 90))
+    @example(dets=[{"label": "ball", "box": [1.0, 2.0, 3.0, float("inf")], "conf": 0.5}],
+             front_prob=0.5, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [-0.0, -0.0, 3.0, 4.0], "conf": -0.0}],
+             front_prob=-0.0, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [-1e-300, 2.0, 3.0, 4.0], "conf": 0.5}],
+             front_prob=0.5, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [1.0, 2.0, 3.0, 4.0], "conf": -1e-300}],
+             front_prob=0.5, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [1.0, 2.0, 3.0, 4.0], "conf": True}],
+             front_prob=0.5, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [1.0, 2.0, 3.0, 4.0], "conf": 0.5, "space": "full"}],
+             front_prob=0.5, crop=None, frame_size=None)
+    @example(dets=[{"label": "ball", "box": [1.0, 2.0, 3.0, 4.0], "conf": 0.5, "space": "cropped"}],
+             front_prob=0.5, crop=CropSpec(0.1, 0.1, 0.1, 0.1), frame_size=(160, 90))
+    @example(dets=[{"label": "ball", "box": [1, 2, 3, 4], "conf": 1},
+                   {"label": "pitch", "box": [1.0, 2.0, 3.0, 4.0], "conf": 1.0}],
+             front_prob=1, crop=None, frame_size=None)
+    @given(
+        dets=st.lists(_detection(), max_size=2),
+        front_prob=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), _ANY_VALUE),
+        crop=st.sampled_from([None, CropSpec(0.1, 0.1, 0.1, 0.1)]),
+        frame_size=st.sampled_from([None, (160, 90), (100, 100)]),
+    )
+    def test_fast_path_matches_parse_detection(
+        self, tmp_path_factory, dets, front_prob, crop, frame_size
+    ):
+        # The loader builds what _parse_detection and FrameAnnotations
+        # build from the same decoded line, field by field, or fails with
+        # the same text.
+        line = json.dumps({"frame": 7, "front_prob": front_prob, "detections": dets})
+        path = tmp_path_factory.mktemp("fuzz") / "ann.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        obj = json.loads(line)
+        try:
+            if type(obj["front_prob"]) not in (int, float):
+                raise AnnotationLoadError("line 1: field 'front_prob' must be a number")
+            parsed = tuple(_parse_detection(d, 1, crop, frame_size) for d in obj["detections"])
+            try:
+                expected = _fields(FrameAnnotations(7, _float(obj["front_prob"]), parsed))
+            except ValueError as exc:
+                raise AnnotationLoadError(f"line 1: {exc}") from exc
+        except AnnotationLoadError as exc:
+            expected = str(exc)
+        try:
+            got = _fields(load_precomputed(path, crop, frame_size).by_index(7))
+        except AnnotationLoadError as exc:
+            got = str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "slot, error",
+        [
+            ("x", "detection box values must be finite"),
+            ("h", "detection box values must be finite"),
+            ("conf", "confidence must be in [0, 1]"),
+            ("front_prob", "front_prob must be in [0, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize("frame_size", [None, (1280, 720)])
+    def test_integer_too_large_for_a_float_is_located(
+        self, tmp_path, sign, slot, error, frame_size
+    ):
+        values = {"x": 1, "y": 2, "w": 3, "h": 4, "conf": 0.5, "front_prob": 0.5}
+        values[slot] = sign * 10**400
+        rec = {
+            "frame": 1,
+            "front_prob": values["front_prob"],
+            "detections": [
+                {"label": "ball", "box": [values[k] for k in "xywh"], "conf": values["conf"]}
+            ],
+        }
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [RECORD, rec])
+        with pytest.raises(AnnotationLoadError) as err:
+            load_precomputed(path, frame_size=frame_size)
+        assert str(err.value) == f"line 2: {error}"
+
+    def test_bare_cr_is_whitespace_inside_a_record(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_bytes(b'{"frame": 0,\r"front_prob": 0.5}\n{"frame": 1,\r\n"front_prob": 0.25}\n')
+        with pytest.raises(AnnotationLoadError, match="^line 2: invalid JSON"):
+            load_precomputed(path)
+        path.write_bytes(
+            b'{"frame": 0,\r"front_prob": 0.5}\r\n\r\n{"frame": 1, "front_prob": 2}\r\n'
+        )
+        with pytest.raises(AnnotationLoadError, match="^line 3: front_prob"):
+            load_precomputed(path)
+        path.write_bytes(b'{"frame": 0,\r"front_prob": 0.5}\r\n{"frame": 1, "front_prob": 0.25}\n')
+        backend = load_precomputed(path)
+        assert backend.by_index(0).front_prob == 0.5
+        assert backend.by_index(1).front_prob == 0.25
 
 
 class TestAnnotations:

@@ -224,6 +224,40 @@ class TestSegment:
         assert main(["segment", *common, "--out", str(raw_run.tmp / "pgm_m.jsonl")]) == 2
         assert f"{frames / '000000.pgm'}: malformed PGM header" in capsys.readouterr().err
 
+    def test_gap_in_frame_numbers_is_located_runtime_error(self, raw_run, capsys):
+        frames = raw_run.tmp / "pgm"
+        frames.mkdir()
+        for i in (0, 1, 3):
+            write_pgm(np.zeros((90, 160), dtype=np.uint8), frames / f"{i:06d}.pgm")
+        common = ["--source", str(frames), *raw_run.common[2:]]
+        assert main(["segment", *common, "--out", str(raw_run.tmp / "gap_m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{frames / '000001.pgm'} and {frames / '000003.pgm'}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "box, conf, error",
+        [
+            ("[1, 2, 3, 1" + "0" * 400 + "]", "0.5", "detection box values must be finite"),
+            ("[1, 2, 3, 4]", "-1" + "0" * 400, "confidence must be in [0, 1]"),
+        ],
+        ids=["box", "conf"],
+    )
+    def test_integer_too_large_for_a_float_is_located_runtime_error(
+        self, raw_run, capsys, box, conf, error
+    ):
+        ann = raw_run.tmp / "big.jsonl"
+        ann.write_text(
+            f'{{"frame": 0, "front_prob": 0.5, "detections": '
+            f'[{{"label": "ball", "box": {box}, "conf": {conf}}}]}}\n',
+            encoding="utf-8",
+        )
+        common = [a if not a.startswith("file:") else f"file:{ann}" for a in raw_run.common]
+        assert main(["segment", *common, "--out", str(raw_run.tmp / "big_m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"line 1: {error}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("size", [["--width", "-160"], ["--height", "0"]])
     def test_non_positive_frame_size_is_config_error(self, raw_run, capsys, size):
         out = raw_run.tmp / "size_m.jsonl"
@@ -419,6 +453,10 @@ class TestTrackClassify:
             ('{"points":[[0,1.0,2.0],[1,2.0]]}', "points[1]"),
             ('{"points":[[0,1.0,2.0],[1.5,2.0,3.0]]}', "points[1]"),
             ('{"points":[[0,NaN,2.0]]}', "points[0]"),
+            pytest.param('{"points":[[0,1.0,2.0],[1,1' + "0" * 400 + ',2.0]]}',
+                         "points[1] must be", id="col-too-large-for-a-float"),
+            pytest.param('{"points":[[0,1.0,-1' + "0" * 400 + ']]}',
+                         "points[0] must be", id="row-too-large-for-a-float"),
             ("[]", "JSON object"),
             ('{"points":', "line 2 column 1"),
         ],
@@ -434,6 +472,13 @@ class TestTrackClassify:
         err = capsys.readouterr().err
         assert f"{path}:" in err and field in err
         assert "Traceback" not in err
+
+    def test_bare_cr_is_whitespace_inside_a_manifest_row(self, raw_run):
+        rows = raw_run.manifest.read_bytes().split(b"\n")
+        crlf = raw_run.tmp / "crlf.jsonl"
+        crlf.write_bytes(b"\r\n".join(row.replace(b",", b",\r", 1) for row in rows))
+        assert cli._read_manifest(crlf) == cli._read_manifest(raw_run.manifest)
+        assert cli._read_manifest(crlf)
 
     def test_trajectory_round_trip_byte_identical(self, tmp_path, segmented):
         traj_dir = tmp_path / "traj"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import io
+import os
 import re
 
 import numpy as np
@@ -12,7 +14,9 @@ from cricseg.frames import (
     CropSpec,
     Frame,
     FrameSourceError,
+    _image_dir_frames,
     _raw_pipe_frames,
+    _read_file,
     _read_pgm,
     crop_offsets,
     open_source,
@@ -86,6 +90,25 @@ _PGM_SIZE = st.one_of(st.integers(1, 4).map(b"%d".__mod__), _PGM_ODD_TOKEN)
 _PGM_MAXVAL = st.one_of(st.just(b"255"), _PGM_ODD_TOKEN)
 
 
+_PGM_HEADER_BYTES = st.builds(
+    lambda seps, tokens: b"P5" + b"".join(s + t for s, t in zip(seps, tokens)) + seps[3],
+    st.lists(_PGM_SEPARATOR, min_size=4, max_size=4),
+    st.tuples(_PGM_SIZE, _PGM_SIZE, _PGM_MAXVAL),
+)
+
+
+def _dir_outcomes(directory):
+    """Shape and bytes of each frame the directory reader yields, then the
+    text of the error that stopped it, if any."""
+    out = []
+    try:
+        for luma in _image_dir_frames(directory):
+            out.append((luma.shape, luma.tobytes()))
+    except FrameSourceError as exc:
+        out.append(str(exc))
+    return out
+
+
 def make_frame(h=100, w=100, value=0, index=0):
     return Frame(index, 0.0, np.full((h, w), value, dtype=np.uint8))
 
@@ -107,6 +130,12 @@ class TestFrame:
         frame = make_frame()
         with pytest.raises(ValueError):
             frame.luma[0, 0] = 1
+
+    def test_caller_array_becomes_read_only_in_place(self):
+        arr = np.zeros((4, 4), dtype=np.uint8)
+        frame = Frame(0, 0.0, arr)
+        assert frame.luma is arr
+        assert not arr.flags.writeable
 
     def test_strided_luma_is_made_contiguous(self):
         # The compiled kernels take C-contiguous planes only.
@@ -214,10 +243,77 @@ class TestStreams:
         with pytest.raises(FrameSourceError):
             open_source(io.BytesIO(), fps=10)
 
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[1, 2], [3, 4]], dtype=np.int64),
+            np.arange(8, dtype=np.uint8).reshape(2, 4)[:, ::2],
+        ],
+    )
+    def test_stream_from_arrays_converts_what_is_not_a_uint8_array(self, arr):
+        (frame,) = stream_from_arrays([arr], fps=25)
+        assert frame.luma.dtype == np.uint8 and frame.luma.flags.c_contiguous
+        np.testing.assert_array_equal(frame.luma, np.asarray(arr).astype(np.uint8))
+
     def test_stream_indices_gapless(self):
         arrays = [np.zeros((4, 4), dtype=np.uint8)] * 5
         indices = [f.index for f in stream_from_arrays(arrays, fps=25)]
         assert indices == [0, 1, 2, 3, 4]
+
+    def test_one_based_directory_streams_from_zero(self, tmp_path):
+        for i in range(1, 4):
+            write_pgm(np.full((2, 3), i, dtype=np.uint8), tmp_path / f"{i}.pgm")
+        frames = list(open_source(tmp_path, fps=25))
+        assert [(f.index, int(f.luma[0, 0])) for f in frames] == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "names, first, second, words",
+        [
+            (["0000.pgm", "0001.pgm", "0003.pgm"], "0001.pgm", "0003.pgm",
+             "frame numbers skip from 1 to 3"),
+            (["1.pgm", "0001.pgm", "0002.pgm"], "0001.pgm", "1.pgm", "both are frame 1"),
+        ],
+    )
+    def test_frame_numbers_must_count_up_by_one(self, tmp_path, names, first, second, words):
+        for name in names:
+            write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / name)
+        with pytest.raises(FrameSourceError) as err:
+            next(open_source(tmp_path, fps=25))
+        assert str(err.value) == f"{tmp_path / first} and {tmp_path / second}: {words}"
+
+    @pytest.mark.parametrize("name", ["0000.pgm", "0001.pgm"])
+    def test_directory_named_like_a_frame_keeps_its_error(self, tmp_path, name):
+        # The text open() gives, naming the entry, though the read that
+        # finds the directory names no file itself.
+        for i in range(3):
+            write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            list(open_source(tmp_path, fps=25))
+        path = str(tmp_path / name)
+        assert str(err.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+
+    def test_later_file_larger_than_size_hint(self, tmp_path):
+        # The second file carries a comment 40 times the first file's
+        # size, so it takes several reads past the hint.
+        arr = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        write_pgm(arr, tmp_path / "0000.pgm")
+        first = (tmp_path / "0000.pgm").read_bytes()
+        (tmp_path / "0001.pgm").write_bytes(
+            b"P5\n#" + b"c" * 40 * len(first) + b"\n3 2\n255\n" + arr[::-1].tobytes()
+        )
+        frames = list(open_source(tmp_path, fps=25))
+        np.testing.assert_array_equal(frames[0].luma, arr)
+        np.testing.assert_array_equal(frames[1].luma, arr[::-1])
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 100])
+    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 7, 8, 9, 1000])
+    def test_read_file_returns_every_byte_whatever_the_hint(self, tmp_path, size, hint):
+        path = tmp_path / "f"
+        data = bytes(range(size))
+        path.write_bytes(data)
+        assert _read_file(str(path), hint) == data
 
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -265,6 +361,34 @@ class TestStreams:
         data = b"P5" + header + pixels
         path.write_bytes(data if cut is None else data[:cut])
         assert _outcome(_read_pgm, path) == _outcome(_token_loop_read_pgm, path)
+
+    @settings(max_examples=300)
+    @example(first=b"P5\n2 2\n255\n", keep=100, rest=b"", pixels=(4, 4))
+    @example(first=b"P5\n2 2\n255\n", keep=100, rest=b"", pixels=(4, 3))
+    @example(first=b"P5\n2 2\n255\n", keep=10, rest=b"\t", pixels=(4, 4))
+    @example(first=b"P5\n2 2\n255 ", keep=10, rest=b"5\n", pixels=(4, 4))
+    @example(first=b"P5 #c\n1 2\t255\r", keep=5, rest=b"x\n1 2\t255\r", pixels=(2, 2))
+    @example(first=b"P5 1 1 255\x0b", keep=6, rest=b"#1\n 1 255\x0c", pixels=(1, 1))
+    @given(
+        first=_PGM_HEADER_BYTES,
+        keep=st.integers(0, 40),
+        rest=st.one_of(_PGM_HEADER_BYTES.map(lambda h: h[2:]), st.binary(max_size=12)),
+        pixels=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    )
+    def test_header_memo_matches_a_fresh_parse(self, tmp_path_factory, first, keep, rest, pixels):
+        # The second file repeats the first one's header, or only a prefix
+        # of it and then other bytes. Reading both from one directory, with
+        # the first header remembered, gives what reading each alone gives.
+        directory = tmp_path_factory.mktemp("pgm")
+        datas = [first + bytes(range(pixels[0])), first[:keep] + rest + bytes(range(pixels[1]))]
+        for i, data in enumerate(datas):
+            (directory / f"{i}.pgm").write_bytes(data)
+        fresh = []
+        for i in range(2):
+            fresh.append(_outcome(_read_pgm, directory / f"{i}.pgm"))
+            if isinstance(fresh[-1], str):
+                break
+        assert _dir_outcomes(directory) == fresh
 
     @given(header=st.binary(max_size=24), pixels=st.integers(0, 40))
     def test_pgm_header_bytes_fuzz(self, tmp_path_factory, header, pixels):

@@ -171,3 +171,11 @@ class TestWireFormat:
 
     def test_no_bounce_serializes_null(self):
         assert trajectory_to_obj(traj([10, 20]))["bounce"] is None
+
+    @pytest.mark.parametrize("value", [2**1024, -(10**400)], ids=["2**1024", "-10**400"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, value):
+        obj = {"points": [[0, 1.0, 2.0], [1, 3, value]]}
+        with pytest.raises(ValueError, match=r"^points\[1\] must be \[frame, col, row\]"):
+            trajectory_from_obj(obj)
+        obj["points"][1][2] = 2**1023
+        assert trajectory_from_obj(obj).points[1].row == float(2**1023)
