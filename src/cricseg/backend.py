@@ -16,7 +16,9 @@ from math import inf, isfinite
 from pathlib import Path
 from typing import Iterator, Protocol
 
+from cricseg import kernels
 from cricseg.frames import CropSpec, Frame, crop_offsets
+from cricseg.kernels import _fallback
 
 OBJECT_LABELS = frozenset({"pitch", "umpire", "batsman", "bowler", "ball"})
 
@@ -231,6 +233,80 @@ def _checked_detection(obj: object, fw: float, fh: float) -> Detection | None:
     return det
 
 
+# The C scanner under json.loads, minus its per-call wrapping. It reads one
+# value from a line stripped as json.loads strips it; json.loads itself runs
+# only to word a failure, so the message is its own.
+_scan_json = json.JSONDecoder().scan_once
+
+# The loader reads the file in blocks of about this many bytes, each
+# extended to the end of its last line, so that memory does not grow with
+# the file's size.
+_BLOCK = 1 << 16
+
+
+def _load_line(
+    raw: bytes,
+    lineno: int,
+    records: dict[int, FrameAnnotations],
+    crop: CropSpec | None,
+    frame_size: tuple[int, int] | None,
+    frame_w: float,
+    frame_h: float,
+) -> None:
+    """Load one line into records, or raise the AnnotationLoadError that
+    names it."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise AnnotationLoadError(f"line {lineno}: not valid UTF-8") from None
+    if line.isspace():
+        return
+    text = line.strip(" \t\n\r")
+    try:
+        obj, end = _scan_json(text, 0)
+        if end != len(text):
+            raise ValueError
+    except (StopIteration, ValueError):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
+    try:
+        index = obj["frame"]
+        front_prob = obj["front_prob"]
+    except (KeyError, TypeError) as exc:
+        raise AnnotationLoadError(f"line {lineno}: malformed record: {exc}") from exc
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise AnnotationLoadError(
+            f"line {lineno}: field 'frame' must be a non-negative integer"
+        )
+    if type(front_prob) not in _NUMBER:
+        raise AnnotationLoadError(f"line {lineno}: field 'front_prob' must be a number")
+    if index in records:
+        raise AnnotationLoadError(f"line {lineno}: duplicate frame {index}")
+    detections = obj.get("detections", [])
+    if not isinstance(detections, list):
+        raise AnnotationLoadError(
+            f"line {lineno}: field 'detections' must be a JSON array"
+        )
+    dets = tuple([
+        _checked_detection(d, frame_w, frame_h)
+        or _parse_detection(d, lineno, crop, frame_size)
+        for d in detections
+    ])
+    if type(front_prob) is float and 0.0 <= front_prob <= 1.0:
+        ann = _new(FrameAnnotations)
+        _set_frame_index(ann, index)
+        _set_front_prob(ann, front_prob)
+        _set_detections(ann, dets)
+    else:
+        try:
+            ann = FrameAnnotations(index, _float(front_prob), dets)
+        except ValueError as exc:
+            raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
+    records[index] = ann
+
+
 def load_precomputed(
     path: str | Path,
     crop: CropSpec | None = None,
@@ -244,63 +320,39 @@ def load_precomputed(
     strings or booleans, and "box" exactly four of them; nothing is
     coerced. Detections carrying "space": "cropped"
     are shifted back to full-frame coordinates, which requires ``crop``
-    and ``frame_size``.
+    and ``frame_size``. Lines must be UTF-8.
+
+    The active kernel's ``scan_annotations`` loads the lines it can prove
+    it loads as ``_load_line`` would; ``_load_line`` loads each line it
+    declines, or raises the error, and the scan resumes after that line.
     """
     records: dict[int, FrameAnnotations] = {}
-    # The C scanner under json.loads, minus its per-call wrapping. It reads
-    # one value from the line stripped as json.loads strips it; json.loads
-    # itself runs only to word a failure, so the message is its own.
-    scan = json.JSONDecoder().scan_once
     frame_w, frame_h = frame_size if frame_size is not None else (inf, inf)
+    # The scanner compares box edges with the frame size as doubles; a size
+    # that no double equals is left to the Python code, which compares
+    # exactly.
+    try:
+        exact = float(frame_w) == frame_w and float(frame_h) == frame_h
+    except OverflowError:
+        exact = False
+    scan = kernels.ACTIVE.scan_annotations if exact else _fallback.scan_annotations
+    lineno = 0
     # Only LF ends a record: a CR alone is JSON whitespace inside one.
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            text = line.strip(" \t\n\r")
-            try:
-                obj, end = scan(text, 0)
-                if end != len(text):
-                    raise ValueError
-            except (StopIteration, ValueError):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                index = obj["frame"]
-                front_prob = obj["front_prob"]
-            except (KeyError, TypeError) as exc:
-                raise AnnotationLoadError(f"line {lineno}: malformed record: {exc}") from exc
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-                raise AnnotationLoadError(
-                    f"line {lineno}: field 'frame' must be a non-negative integer"
-                )
-            if type(front_prob) not in _NUMBER:
-                raise AnnotationLoadError(f"line {lineno}: field 'front_prob' must be a number")
-            if index in records:
-                raise AnnotationLoadError(f"line {lineno}: duplicate frame {index}")
-            detections = obj.get("detections", [])
-            if not isinstance(detections, list):
-                raise AnnotationLoadError(
-                    f"line {lineno}: field 'detections' must be a JSON array"
-                )
-            dets = tuple([
-                _checked_detection(d, frame_w, frame_h)
-                or _parse_detection(d, lineno, crop, frame_size)
-                for d in detections
-            ])
-            if type(front_prob) is float and 0.0 <= front_prob <= 1.0:
-                ann = _new(FrameAnnotations)
-                _set_frame_index(ann, index)
-                _set_front_prob(ann, front_prob)
-                _set_detections(ann, dets)
-            else:
-                try:
-                    ann = FrameAnnotations(index, _float(front_prob), dets)
-                except ValueError as exc:
-                    raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
-            records[index] = ann
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK):
+            if block[-1] != 0x0A:
+                block += fh.readline()
+            pos = 0
+            while True:
+                pos, lines = scan(block, pos, records, frame_w, frame_h,
+                                  Detection, FrameAnnotations)
+                lineno += lines
+                if pos == len(block):
+                    break
+                end = block.find(b"\n", pos) + 1 or len(block)
+                lineno += 1
+                _load_line(block[pos:end], lineno, records, crop, frame_size, frame_w, frame_h)
+                pos = end
     return MappingBackend(records)
 
 

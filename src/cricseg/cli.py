@@ -192,11 +192,15 @@ def _read_manifest(path: str | Path) -> list[tuple[int, int]]:
     """(start, end) of every manifest row; ValueError names path:line."""
     clips = []
     # Only LF ends a row: a CR alone is JSON whitespace inside one.
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{where}: not valid UTF-8") from None
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -221,6 +225,20 @@ def _tracker_config(cfg: PipelineConfig, width: int, raw_max_jump_set: bool) -> 
     return TrackerConfig.for_frame_width(width, cfg.tracker.max_gap_frames)
 
 
+def _ball_candidates(backend: Backend, start: int, end: int):
+    """(frame index, ball candidates) for frames start..end, looked up one
+    at a time, so that lookups stop where the tracker stops reading."""
+    for idx in range(start, end + 1):
+        try:
+            ann = backend.by_index(idx)
+        except AnnotationError:
+            yield idx, []
+            continue
+        yield idx, [
+            BallCandidate(idx, det.center(), det.confidence) for det in ann.with_label("ball")
+        ]
+
+
 def cmd_track(args: argparse.Namespace) -> int:
     cfg, values = _pipeline_config(args)
     backend, script = _load_backend(cfg)
@@ -230,19 +248,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     clips = _read_manifest(args.manifest)
     for n, (start, end) in enumerate(clips, start=1):
-        per_frame = []
-        for idx in range(start, end + 1):
-            try:
-                ann = backend.by_index(idx)
-            except AnnotationError:
-                per_frame.append((idx, []))
-                continue
-            candidates = [
-                BallCandidate(idx, det.center(), det.confidence)
-                for det in ann.with_label("ball")
-            ]
-            per_frame.append((idx, candidates))
-        trajectory = build_trajectory(per_frame, tracker_cfg)
+        trajectory = build_trajectory(_ball_candidates(backend, start, end), tracker_cfg)
         obj = trajectory_to_obj(trajectory)
         obj["clip"] = f"clip_{n:04d}"
         with open(out_dir / f"clip_{n:04d}.json", "w", encoding="utf-8") as fh:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cricseg import backend as backend_module, kernels
 from cricseg.backend import (
+    OBJECT_LABELS,
     AnnotationError,
     AnnotationLoadError,
     Detection,
@@ -17,6 +20,11 @@ from cricseg.backend import (
     load_precomputed,
 )
 from cricseg.frames import CropSpec
+from cricseg.scenario import bundled_scripts, load_script, synthetic_backend
+
+NATIVE = kernels._Impl("native", kernels._native) if kernels.NATIVE_AVAILABLE else None
+FALLBACK = kernels._Impl("fallback", kernels._fallback)
+needs_native = pytest.mark.skipif(NATIVE is None, reason="the compiled extension is not built")
 
 
 def write_lines(path, objs):
@@ -450,6 +458,249 @@ class TestLoader:
         backend = load_precomputed(path)
         assert backend.by_index(0).front_prob == 0.5
         assert backend.by_index(1).front_prob == 0.25
+
+
+# --- the native line scanner against the Python loader ---------------------
+
+def _obj(members, sep=","):
+    return "{" + sep.join(f"{key}:{value}" for key, value in members) + "}"
+
+
+# Number texts the scanner hands back: json.loads reads each as an int or a
+# non-finite float (1e400 overflows to an infinity).
+_HANDED_BACK_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "0", "1"]
+# Float reprs, many of 17 significant digits, and a few spelled otherwise.
+_FLOAT_TEXT = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0.30000000000000004", "5e-324", "1E-5", "1.0e0", "-0.0", "0.5e+0"]),
+)
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\r", " \t\r "])
+
+
+@st.composite
+def _detection_members(draw):
+    """The members of a detection in a 160x90 frame, some with boxes on the
+    right or bottom edge, and some changed to a shape the scanner hands
+    back."""
+    w, h = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+    x = draw(st.one_of(st.floats(0.0, 160.0 - w), st.just(160.0 - w)))
+    y = draw(st.one_of(st.floats(0.0, 90.0 - h), st.just(90.0 - h)))
+    box = [repr(v) for v in (x, y, w, h)]
+    conf = draw(_FLOAT_TEXT)
+    label = draw(st.sampled_from(sorted(OBJECT_LABELS)))
+    change = draw(st.sampled_from(
+        [None] * 6 + ["box", "conf", "label", "space", "unknown", "repeat", "drop"]
+    ))
+    if change == "box":
+        box[draw(st.integers(0, 3))] = draw(st.sampled_from(_HANDED_BACK_NUMBERS))
+    elif change == "conf":
+        conf = draw(st.sampled_from(_HANDED_BACK_NUMBERS))
+    label = f'"{label}"'
+    if change == "label":
+        label = draw(st.sampled_from(['"\\u0062all"', '"keeper"', '"bäll"', '"ball\\""']))
+    members = [('"label"', label), ('"box"', "[" + ",".join(box) + "]"), ('"conf"', conf)]
+    if change == "space":
+        members.append(('"space"', draw(st.sampled_from(['"full"', '"cropped"']))))
+    elif change == "unknown":
+        members.append(('"extra"', "[1]"))
+    elif change == "repeat":
+        members.append(draw(st.sampled_from([('"label"', '"pitch"'), ('"conf"', "0.125")])))
+    elif change == "drop":
+        del members[draw(st.integers(0, 2))]
+    return draw(st.permutations(members))
+
+
+@st.composite
+def _record_line(draw):
+    """A record line: canonical, spaced out, or changed to a shape the
+    scanner hands back."""
+    dets = draw(st.lists(_detection_members(), max_size=3))
+    frame, front_prob = str(draw(st.integers(0, 12))), draw(_FLOAT_TEXT)
+    change = draw(st.sampled_from(
+        [None] * 6 + ["frame", "front_prob", "unknown", "repeat", "escaped", "non_ascii", "drop"]
+    ))
+    if change == "frame":
+        frame = draw(st.sampled_from(["-0", "1.0", "1e2", "01", "-1", "99999999999999999999"]))
+    elif change == "front_prob":
+        front_prob = draw(st.sampled_from(_HANDED_BACK_NUMBERS))
+    members = [('"frame"', frame), ('"front_prob"', front_prob)]
+    if dets or draw(st.booleans()):
+        sep = draw(st.sampled_from([",", ", ", ",\t", " ,\r"]))
+        members.append(('"detections"', "[" + sep.join(_obj(d, sep) for d in dets) + "]"))
+    if change == "unknown":
+        members.append(('"extra"', '{"a": null}'))
+    elif change == "repeat":
+        members.append(draw(st.sampled_from([('"frame"', "13"), ('"front_prob"', "0.125")])))
+    elif change == "drop":
+        del members[draw(st.integers(0, 1))]
+    elif change == "escaped":
+        members[0] = ('"fr\\u0061me"', frame)
+    elif change == "non_ascii":
+        members.append(('"é"', "1"))
+    members = draw(st.permutations(members))
+    sep = draw(st.sampled_from([",", ", ", ",\t", "\r,\r"]))
+    text = draw(_WHITESPACE) + _obj(members, sep) + draw(_WHITESPACE)
+    return text.encode("utf-8")
+
+
+_OTHER_LINE = st.sampled_from([
+    b"", b" ", b"\t\r", b"\r",  # blank
+    b"\x0b", b"\x0c", b"\x1c", b" \x0b ",  # other whitespace only
+    b"not json", b'{"frame": 1}', b"[]", b'{"frame": 1, "front_prob": 0.5',  # errors
+    b'{"frame": 1, "front_prob": 0.5} x', b'{"frame":1,"front_prob":0.5}{}',
+    b'{"frame": 1, "front_prob": 0.5, "x": "\xff"}', b"\xef\xbb\xbf{}",
+])
+
+
+def _loaded(path, frame_size):
+    """Every record the loader builds, field by field, or its error."""
+    try:
+        records = load_precomputed(path, frame_size=frame_size)._records
+    except AnnotationLoadError as exc:
+        return str(exc)
+    return [(index, _fields(ann)) for index, ann in records.items()]
+
+
+class TestNativeScanner:
+    @needs_native
+    @settings(max_examples=400, deadline=None)
+    @example(lines=[b'{"frame":0,"front_prob":0.5}'] * 2, final_lf=True, block=1, frame_size=None)
+    @given(
+        lines=st.lists(st.one_of(_record_line(), _record_line(), _OTHER_LINE), min_size=1, max_size=8),
+        final_lf=st.booleans(),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+        frame_size=st.sampled_from([None, (160, 90)]),
+    )
+    def test_native_and_fallback_load_alike(self, tmp_path_factory, lines, final_lf, block, frame_size):
+        # Equal records, field by field, or the same error text, whichever
+        # kernel reads the file and wherever the blocks are cut.
+        path = tmp_path_factory.mktemp("scan") / "ann.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if final_lf else b""))
+        got = {}
+        for impl in (NATIVE, FALLBACK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "ACTIVE", impl)
+                mp.setattr(backend_module, "_BLOCK", block)
+                got[impl.name] = _loaded(path, frame_size)
+        assert got["native"] == got["fallback"]
+
+    @needs_native
+    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
+    def test_native_scanner_consumes_every_dumped_line(self, tmp_path, name):
+        script = load_script(bundled_scripts()[name])
+        backend = synthetic_backend(script)
+        path = tmp_path / "ann.jsonl"
+        dump_annotations([backend.by_index(i) for i in range(script.n_frames)], path)
+        data = path.read_bytes()
+        records = {}
+        assert NATIVE.scan_annotations(
+            data, 0, records, script.width, script.height, Detection, FrameAnnotations
+        ) == (len(data), script.n_frames)
+        assert [(i, _fields(ann)) for i, ann in records.items()] == [
+            (i, _fields(backend.by_index(i))) for i in range(script.n_frames)
+        ]
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"frame":1,"front_prob":NaN}',
+            b'{"frame":1,"front_prob":-Infinity}',
+            b'{"frame":1,"front_prob":1e400}',
+            b'{"frame":1,"front_prob":1}',
+            b'{"frame":1}',
+            b'{"frame":-0,"front_prob":0.5}',
+            b'{"frame":1.0,"front_prob":0.5}',
+            b'{"frame":1,"front_prob":0.5,"extra":1}',
+            b'{"frame":1,"front_prob":0.5,"frame":2}',
+            b'{"fr\\u0061me":1,"front_prob":0.5}',
+            b'{"frame":1,"front_prob":0.5,"\xc3\xa9":1}',
+            b'{"frame":1,"front_prob":0.5} x',
+            b'{"frame":1,"front_prob":0.5}{}',
+            b'{"frame":1,"front_prob":0.5,"detections":null}',
+            b'{"frame":1,"front_prob":0.' + b"1" * 40 + b"}",
+            b"\x0b", b"\x0c", b"\x1c",
+        ] + [
+            b'{"frame":1,"front_prob":0.5,"detections":[{%s}]}' % det
+            for det in [
+                b'"label":"ball","box":[1,2.0,3.0,4.0],"conf":0.5',
+                b'"label":"ball","box":[1.0,2.0,3.0,4.0],"conf":1',
+                b'"label":"ball","box":[1.0,2.0,3.0,4.0],"conf":0.5,"conf":0.25',
+                b'"label":"ball","box":[1.0,2.0,3.0,4.0]',
+                b'"label":"\\u0062all","box":[1.0,2.0,3.0,4.0],"conf":0.5',
+                b'"label":"keeper","box":[1.0,2.0,3.0,4.0],"conf":0.5',
+                b'"label":"ball","box":[1.0,2.0,3.0,4.0],"conf":0.5,"space":"full"',
+                b'"label":"ball","box":[1e400,2.0,3.0,4.0],"conf":0.5',
+                b'"label":"ball","box":[1.0,2.0,3.0,1e400],"conf":0.5',
+                b'"label":"ball","box":[1.0,2.0,0.0,4.0],"conf":0.5',
+                b'"label":"ball","box":[-1.0,2.0,3.0,4.0],"conf":0.5',
+            ]
+        ],
+    )
+    def test_scanner_hands_back_what_it_cannot_prove(self, line):
+        records = {}
+        for data in (line + b"\n", b"\n \r\n" + line + b"\n"):
+            start = data.index(line)
+            assert NATIVE.scan_annotations(
+                data, 0, records, inf, inf, Detection, FrameAnnotations
+            ) == (start, data.count(b"\n", 0, start))
+        assert records == {}
+
+    @needs_native
+    def test_scanner_hands_back_a_box_past_the_frame_edge(self):
+        line = b'{"frame":1,"front_prob":0.5,"detections":[{"label":"ball","box":[%s],"conf":0.5}]}\n'
+        for box, frame_size, taken in [
+            (b"150.0,2.0,10.0,4.0", (160, 90), True),
+            (b"150.0,2.0,10.5,4.0", (160, 90), False),
+            (b"1.0,80.0,3.0,10.5", (160, 90), False),
+            (b"150.0,2.0,10.5,4.0", (inf, inf), True),
+        ]:
+            data = line % box
+            assert NATIVE.scan_annotations(
+                data, 0, {}, *frame_size, Detection, FrameAnnotations
+            ) == ((len(data), 1) if taken else (0, 0))
+
+    @needs_native
+    def test_scanner_hands_back_a_duplicate_frame_and_a_line_without_lf(self):
+        line = b'{"frame":1,"front_prob":0.5}'
+        records = {}
+        data = line + b"\n" + line + b"\n"
+        assert NATIVE.scan_annotations(
+            data, 0, records, 160, 90, Detection, FrameAnnotations
+        ) == (len(line) + 1, 1)
+        assert list(records) == [1]
+        assert NATIVE.scan_annotations(
+            b"\n" + line, 0, {}, 160, 90, Detection, FrameAnnotations
+        ) == (1, 1)
+
+    @needs_native
+    @pytest.mark.parametrize("width", [2**53 + 3, 10**400], ids=["2**53+3", "10**400"])
+    def test_frame_size_no_double_holds_is_compared_exactly(self, tmp_path, monkeypatch, width):
+        # 2**53 + 4 exceeds a width of 2**53 + 3, though not the double
+        # nearest to it, 2**53 + 4; the Python code compares exactly.
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [{"frame": 0, "front_prob": 0.5, "detections": [
+            {"label": "ball", "box": [2.0**53, 1.0, 4.0, 1.0], "conf": 0.5}]}])
+        got = []
+        for impl in (NATIVE, FALLBACK):
+            monkeypatch.setattr(kernels, "ACTIVE", impl)
+            got.append(_loaded(path, (width, 90)))
+        assert got[0] == got[1]
+        assert got[0] == ("line 1: detection box exceeds frame bounds" if width < 10**400
+                          else [(0, _fields(load_precomputed(path).by_index(0)))])
+
+    @pytest.mark.parametrize("impl", ["native", "fallback"])
+    def test_line_not_utf8_is_located(self, tmp_path, monkeypatch, impl):
+        if impl == "native" and NATIVE is None:
+            pytest.skip("the compiled extension is not built")
+        monkeypatch.setattr(kernels, "ACTIVE", NATIVE if impl == "native" else FALLBACK)
+        path = tmp_path / "ann.jsonl"
+        path.write_bytes(
+            json.dumps(RECORD).encode() + b'\n{"frame": 1, "front_prob": 0.5, "x": "\xff"}\n'
+        )
+        with pytest.raises(AnnotationLoadError) as err:
+            load_precomputed(path)
+        assert str(err.value) == "line 2: not valid UTF-8"
 
 
 class TestAnnotations:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cricseg import cli
-from cricseg.backend import dump_annotations
+from cricseg.backend import MappingBackend, dump_annotations
 from cricseg.cli import main
 from cricseg.config import ConfigError, PipelineConfig
 from cricseg.frames import write_pgm
@@ -472,6 +472,41 @@ class TestTrackClassify:
         err = capsys.readouterr().err
         assert f"{path}:" in err and field in err
         assert "Traceback" not in err
+
+    def test_manifest_not_utf8_is_located_runtime_error(self, raw_run, capsys):
+        manifest = raw_run.tmp / "bad.jsonl"
+        manifest.write_bytes(b'{"start":50,"end":60}\n{"start":0,"end":9,"x":"\xff"}\n')
+        code = main(["track", *raw_run.common, "--manifest", str(manifest),
+                     "--out", str(raw_run.tmp / "traj")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:2: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_track_stops_lookups_where_the_track_ends(self, tmp_path, monkeypatch):
+        # A row spanning 400,001 frames over the 200-frame scenario: the
+        # frames are looked up one at a time, and only until the track has
+        # missed more than max_gap_frames in a row.
+        calls = []
+        by_index = MappingBackend.by_index
+
+        def spy(self, index):
+            calls.append(index)
+            return by_index(self, index)
+
+        monkeypatch.setattr(MappingBackend, "by_index", spy)
+        trajectories = []
+        for end in (400000, 199):
+            manifest = tmp_path / f"m{end}.jsonl"
+            manifest.write_text(json.dumps({"start": 0, "end": end}) + "\n", encoding="utf-8")
+            calls.clear()
+            out = tmp_path / f"traj{end}"
+            assert main(["track", "--scenario", "one_delivery", "--backend", "synthetic",
+                         "--manifest", str(manifest), "--out", str(out)]) == 0
+            trajectories.append((out / "clip_0001.json").read_bytes())
+        last = json.loads(trajectories[0])["points"][-1][0]
+        assert calls == list(range(last + TrackerConfig().max_gap_frames + 2))
+        assert trajectories[0] == trajectories[1]
 
     def test_bare_cr_is_whitespace_inside_a_manifest_row(self, raw_run):
         rows = raw_run.manifest.read_bytes().split(b"\n")
