@@ -133,11 +133,12 @@ class MappingBackend:
     """Backend serving a fixed mapping of frame index to annotations.
 
     Pure function of (state, frame index): repeated calls return the same
-    object.
+    object. ``last_index`` is the highest frame index with a record, or -1.
     """
 
     def __init__(self, records: dict[int, FrameAnnotations]) -> None:
         self._records = records
+        self.last_index = max(records, default=-1)
 
     def annotate(self, frame: Frame) -> FrameAnnotations:
         return self.by_index(frame.index)

@@ -16,7 +16,7 @@ from pathlib import Path
 from cricseg.backend import (
     AnnotationError,
     AnnotationLoadError,
-    Backend,
+    MappingBackend,
     load_precomputed,
 )
 from cricseg.config import (
@@ -125,7 +125,7 @@ def _pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict[str
     return cfg, values
 
 
-def _load_backend(cfg: PipelineConfig) -> tuple[Backend, ScenarioScript | None]:
+def _load_backend(cfg: PipelineConfig) -> tuple[MappingBackend, ScenarioScript | None]:
     """The annotation backend, and the scenario script behind a synthetic one."""
     if cfg.backend == "synthetic":
         script = resolve_script(cfg.scenario)
@@ -225,10 +225,12 @@ def _tracker_config(cfg: PipelineConfig, width: int, raw_max_jump_set: bool) -> 
     return TrackerConfig.for_frame_width(width, cfg.tracker.max_gap_frames)
 
 
-def _ball_candidates(backend: Backend, start: int, end: int):
+def _ball_candidates(backend: MappingBackend, start: int, end: int):
     """(frame index, ball candidates) for frames start..end, looked up one
-    at a time, so that lookups stop where the tracker stops reading."""
-    for idx in range(start, end + 1):
+    at a time, so that lookups stop where the tracker stops reading. A
+    frame past the backend's last record has no candidates, so none is
+    looked up."""
+    for idx in range(start, min(end, backend.last_index) + 1):
         try:
             ann = backend.by_index(idx)
         except AnnotationError:

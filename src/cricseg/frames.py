@@ -37,6 +37,10 @@ class Frame:
     source's bytes rather than an array of its own.
     """
 
+    # Declared by hand so that frames keep weak references on every
+    # supported Python (dataclass's weakref_slot needs 3.11).
+    __slots__ = ("index", "timestamp_ms", "luma", "__weakref__")
+
     index: int
     timestamp_ms: float
     luma: np.ndarray
@@ -57,6 +61,11 @@ class Frame:
         if flags.writeable:
             flags.writeable = False
 
+    def __reduce__(self):
+        # Copies and pickles go through __init__: the default restore of
+        # slots assigns to them, which a frozen dataclass refuses.
+        return Frame, (self.index, self.timestamp_ms, self.luma)
+
     @property
     def height(self) -> int:
         return self.luma.shape[0]
@@ -64,6 +73,15 @@ class Frame:
     @property
     def width(self) -> int:
         return self.luma.shape[1]
+
+
+# The PGM reader builds its frames by setting their slots: its header
+# parse proves a positive 2-D size, and an array over bytes is uint8,
+# C-contiguous and read-only, which is all __post_init__ would check.
+_new = object.__new__
+_set_index = Frame.index.__set__
+_set_timestamp_ms = Frame.timestamp_ms.__set__
+_set_luma = Frame.luma.__set__
 
 
 @dataclass(frozen=True)
@@ -135,17 +153,20 @@ def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
     def gen() -> Iterator[Frame]:
         shape = None
         for i, arr in enumerate(arrays):
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise FrameSourceError(
-                    f"frame {i} dimensions {arr.shape} differ from {shape}"
-                )
+            shape = _same_shape(i, arr.shape, shape)
             if type(arr) is not np.ndarray or arr.dtype != _UINT8:
                 arr = np.ascontiguousarray(arr, dtype=np.uint8)
             yield Frame(i, i * 1000.0 / fps, arr)
 
     return FrameStream(gen(), fps)
+
+
+def _same_shape(i: int, shape: tuple, first: tuple | None) -> tuple:
+    """Frame ``i``'s ``shape``, which must equal ``first``, the stream's
+    first frame shape, unless frame ``i`` is the first (``first`` None)."""
+    if first is not None and shape != first:
+        raise FrameSourceError(f"frame {i} dimensions {shape} differ from {first}")
+    return shape
 
 
 def write_pgm(luma: np.ndarray, path: str | Path) -> None:
@@ -249,7 +270,7 @@ def _read_png(path: str) -> np.ndarray:
         return np.asarray(img.convert("L"), dtype=np.uint8)
 
 
-def _image_dir_frames(directory: Path) -> Iterator[np.ndarray]:
+def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
     # Paths stay str, spelt as ``directory / name`` would print ("." adds
     # no prefix), since they name the file in errors.
     prefix = "" if str(directory) == "." else os.path.join(directory, "")
@@ -273,21 +294,32 @@ def _image_dir_frames(directory: Path) -> Iterator[np.ndarray]:
             )
     # Each file is read with the previous one's size as the hint. A file
     # that starts with the previous PGM header's exact bytes reuses its
-    # parse: a token runs to the next whitespace byte, and whitespace and
-    # comments match only one way, so the regex would match those bytes
-    # alike and stop at the same place.
+    # parse, and so its shape: a token runs to the next whitespace byte,
+    # and whitespace and comments match only one way, so the regex would
+    # match those bytes alike and stop at the same place.
     size = None
     head = None
-    for _, path, ext in entries:
+    shape = None
+    for i, (_, path, ext) in enumerate(entries):
         if ext == "png":
-            yield _read_png(path)
+            luma = _read_png(path)
+            shape = _same_shape(i, luma.shape, shape)
+            yield Frame(i, i * 1000.0 / fps, luma)
             continue
         data = _read_file(path, size)
         size = len(data)
-        if head is None or not data.startswith(head):
+        if head is not None and data.startswith(head):
+            luma = _pgm_pixels(path, data, width, height, pos)
+        else:
             width, height, pos = _pgm_header(path, data)
             head = data[:pos]
-        yield _pgm_pixels(path, data, width, height, pos)
+            luma = _pgm_pixels(path, data, width, height, pos)
+            shape = _same_shape(i, luma.shape, shape)
+        frame = _new(Frame)
+        _set_index(frame, i)
+        _set_timestamp_ms(frame, i * 1000.0 / fps)
+        _set_luma(frame, luma)
+        yield frame
 
 
 def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarray]:
@@ -320,5 +352,5 @@ def open_source(
         return stream_from_arrays(_raw_pipe_frames(uri, width, height), fps)
     path = Path(uri)
     if path.is_dir():
-        return stream_from_arrays(_image_dir_frames(path), fps)
+        return FrameStream(_image_dir_frames(path, fps), fps)
     raise FrameSourceError(f"{path}: not a readable frame directory")

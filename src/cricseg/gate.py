@@ -4,6 +4,11 @@ Five strategies: the classifier score alone, umpire detection, pitch
 detection, either object, and a dual combiner of classifier and objects.
 The dual combiner defaults to union, which maximises recall at the cost
 of precision; intersection is available for the opposite trade.
+
+A frame's detections are scanned once, for the three signals (classifier,
+umpire, pitch) that every strategy decides from. Verdicts are shared
+immutable values: each strategy and dual mode maps the eight signal
+combinations to verdicts built once, at import.
 """
 
 from __future__ import annotations
@@ -42,68 +47,79 @@ class GateVerdict:
     evidence: tuple[str, ...]
 
 
-def _fired(annotations: FrameAnnotations, cfg: GateConfig) -> tuple[str, ...]:
-    signals = []
-    if annotations.front_prob >= cfg.classifier_threshold:
-        signals.append("classifier")
-    if any(
-        d.label == "umpire" and d.confidence >= cfg.umpire_conf_min
-        for d in annotations.detections
-    ):
-        signals.append("umpire")
-    if any(
-        d.label == "pitch" and d.confidence >= cfg.pitch_conf_min
-        for d in annotations.detections
-    ):
-        signals.append("pitch")
-    return tuple(signals)
+# Bit i of a signal mask is set when _SIGNALS[i] fired.
+_SIGNALS = ("classifier", "umpire", "pitch")
+_CLASSIFIER, _UMPIRE, _PITCH = 1, 2, 4
+
+
+def _decide(strategy: str, dual_mode: str, mask: int) -> GateVerdict:
+    fired = tuple(s for bit, s in enumerate(_SIGNALS) if mask >> bit & 1)
+    objects = tuple(s for s in fired if s != "classifier")
+    if strategy == "either":
+        return GateVerdict(strategy, bool(objects), objects)
+    if strategy == "dual":
+        classifier = bool(mask & _CLASSIFIER)
+        if dual_mode == "union":
+            front = classifier or bool(objects)
+        else:
+            front = classifier and bool(objects)
+        return GateVerdict(strategy, front, fired)
+    front = strategy in fired
+    return GateVerdict(strategy, front, (strategy,) if front else ())
+
+
+def _verdict_tables() -> dict[tuple[str, str], tuple[GateVerdict, ...]]:
+    """(strategy, dual mode) -> the verdict for each signal mask. Equal
+    verdicts are one object."""
+    shared: dict[GateVerdict, GateVerdict] = {}
+    return {
+        (strategy, mode): tuple(
+            shared.setdefault(v, v) for v in (_decide(strategy, mode, m) for m in range(8))
+        )
+        for strategy in STRATEGIES
+        for mode in DUAL_MODES
+    }
+
+
+_VERDICTS = _verdict_tables()
 
 
 def gate_classifier(front_prob: float, cfg: GateConfig) -> GateVerdict:
     """Front iff the classifier score reaches the threshold (inclusive)."""
-    front = front_prob >= cfg.classifier_threshold
-    return GateVerdict("classifier", front, ("classifier",) if front else ())
+    mask = _CLASSIFIER if front_prob >= cfg.classifier_threshold else 0
+    return _VERDICTS["classifier", cfg.dual_mode][mask]
 
 
 def gate_umpire(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    front = "umpire" in _fired(annotations, cfg)
-    return GateVerdict("umpire", front, ("umpire",) if front else ())
+    return apply_gate("umpire", annotations, cfg)
 
 
 def gate_pitch(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    front = "pitch" in _fired(annotations, cfg)
-    return GateVerdict("pitch", front, ("pitch",) if front else ())
+    return apply_gate("pitch", annotations, cfg)
 
 
 def gate_either(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    fired = tuple(s for s in _fired(annotations, cfg) if s != "classifier")
-    return GateVerdict("either", bool(fired), fired)
+    return apply_gate("either", annotations, cfg)
 
 
 def gate_dual(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
     """Combine classifier and object evidence, by union or intersection."""
-    fired = _fired(annotations, cfg)
-    objects = any(s in fired for s in ("umpire", "pitch"))
-    classifier = "classifier" in fired
-    if cfg.dual_mode == "union":
-        front = classifier or objects
-    else:
-        front = classifier and objects
-    return GateVerdict("dual", front, fired)
+    return apply_gate("dual", annotations, cfg)
 
 
 def apply_gate(strategy: str, annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    if strategy == "classifier":
-        return gate_classifier(annotations.front_prob, cfg)
-    if strategy == "umpire":
-        return gate_umpire(annotations, cfg)
-    if strategy == "pitch":
-        return gate_pitch(annotations, cfg)
-    if strategy == "either":
-        return gate_either(annotations, cfg)
-    if strategy == "dual":
-        return gate_dual(annotations, cfg)
-    raise ValueError(f"unknown gate strategy: {strategy!r}")
+    verdicts = _VERDICTS.get((strategy, cfg.dual_mode))
+    if verdicts is None:
+        raise ValueError(f"unknown gate strategy: {strategy!r}")
+    mask = _CLASSIFIER if annotations.front_prob >= cfg.classifier_threshold else 0
+    for det in annotations.detections:
+        label = det.label
+        if label == "umpire":
+            if det.confidence >= cfg.umpire_conf_min:
+                mask |= _UMPIRE
+        elif label == "pitch" and det.confidence >= cfg.pitch_conf_min:
+            mask |= _PITCH
+    return verdicts[mask]
 
 
 @dataclass(frozen=True)

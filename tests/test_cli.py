@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import weakref
 
 import numpy as np
@@ -506,6 +507,34 @@ class TestTrackClassify:
             trajectories.append((out / "clip_0001.json").read_bytes())
         last = json.loads(trajectories[0])["points"][-1][0]
         assert calls == list(range(last + TrackerConfig().max_gap_frames + 2))
+        assert trajectories[0] == trajectories[1]
+
+    def test_track_stops_lookups_at_the_last_annotated_frame(self, tmp_path, monkeypatch):
+        # A row from frame 190 of the 200-frame scenario to 10**9 never
+        # seeds a track; lookups stop after frame 199, the last record.
+        calls = []
+        by_index = MappingBackend.by_index
+
+        def spy(self, index):
+            calls.append(index)
+            # Fails at once, rather than after 10**9 lookups.
+            assert len(calls) <= 1000, "looked up frames past the last record"
+            return by_index(self, index)
+
+        monkeypatch.setattr(MappingBackend, "by_index", spy)
+        trajectories = []
+        for end in (10**9, 199):
+            manifest = tmp_path / f"m{end}.jsonl"
+            manifest.write_text(json.dumps({"start": 190, "end": end}) + "\n", encoding="utf-8")
+            calls.clear()
+            out = tmp_path / f"traj{end}"
+            started = time.perf_counter()
+            assert main(["track", "--scenario", "one_delivery", "--backend", "synthetic",
+                         "--manifest", str(manifest), "--out", str(out)]) == 0
+            assert time.perf_counter() - started < 0.5
+            assert calls == list(range(190, 200))
+            trajectories.append((out / "clip_0001.json").read_bytes())
+        assert json.loads(trajectories[0])["points"] == []
         assert trajectories[0] == trajectories[1]
 
     def test_bare_cr_is_whitespace_inside_a_manifest_row(self, raw_run):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import errno
 import io
 import os
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -102,8 +106,8 @@ def _dir_outcomes(directory):
     text of the error that stopped it, if any."""
     out = []
     try:
-        for luma in _image_dir_frames(directory):
-            out.append((luma.shape, luma.tobytes()))
+        for frame in _image_dir_frames(directory, 25):
+            out.append((frame.luma.shape, frame.luma.tobytes()))
     except FrameSourceError as exc:
         out.append(str(exc))
     return out
@@ -136,6 +140,16 @@ class TestFrame:
         frame = Frame(0, 0.0, arr)
         assert frame.luma is arr
         assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))]
+    )
+    def test_copies_and_pickles(self, clone):
+        frame = Frame(3, 120.0, np.arange(12, dtype=np.uint8).reshape(3, 4))
+        out = clone(frame)
+        assert (out.index, out.timestamp_ms) == (3, 120.0)
+        np.testing.assert_array_equal(out.luma, frame.luma)
+        assert not out.luma.flags.writeable
 
     def test_strided_luma_is_made_contiguous(self):
         # The compiled kernels take C-contiguous planes only.
@@ -215,6 +229,60 @@ class TestStreams:
         write_pgm(np.zeros((8, 13), dtype=np.uint8), tmp_path / "0001.pgm")
         with pytest.raises(FrameSourceError):
             list(open_source(tmp_path, fps=25))
+
+    @pytest.mark.parametrize("fps", [25, 29.97, 50])
+    def test_directory_frames_equal_checked_frames(self, tmp_path, fps):
+        # The PGM reader sets its frames' slots itself; each frame equals
+        # the one Frame() checks and builds from the same values.
+        rng = np.random.default_rng(5)
+        arrays = [rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(4)]
+        for i, arr in enumerate(arrays):
+            write_pgm(arr, tmp_path / f"{i:04d}.pgm")
+        frames = list(open_source(tmp_path, fps=fps))
+        assert len(frames) == len(arrays)
+        for i, (frame, arr) in enumerate(zip(frames, arrays)):
+            checked = Frame(i, i * 1000.0 / fps, arr.copy())
+            assert type(frame) is Frame
+            assert (frame.index, frame.timestamp_ms) == (checked.index, checked.timestamp_ms)
+            np.testing.assert_array_equal(frame.luma, checked.luma)
+            assert frame.luma.dtype == np.uint8 and frame.luma.flags.c_contiguous
+            assert not frame.luma.flags.writeable
+            with pytest.raises(ValueError):
+                frame.luma[0, 0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frame.index = 0
+            ref = weakref.ref(frame)
+            assert ref() is frame
+
+    def test_stream_from_arrays_still_checks_each_frame(self):
+        arr = np.arange(48, dtype=np.uint8).reshape(4, 12)
+        strided = arr[:, ::2]
+        writeable = np.zeros((4, 6), dtype=np.uint8)
+        first, second = stream_from_arrays([strided, writeable], fps=25)
+        assert first.luma.flags.c_contiguous and first.luma is not strided
+        np.testing.assert_array_equal(first.luma, strided)
+        assert not first.luma.flags.writeable
+        assert second.luma is writeable and not writeable.flags.writeable
+
+    def test_header_change_mid_directory_rejected(self, tmp_path):
+        # Same pixel count, other shape: the header parse that a changed
+        # header needs also checks the shape.
+        for i in range(2):
+            write_pgm(np.zeros((8, 12), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
+        write_pgm(np.zeros((12, 8), dtype=np.uint8), tmp_path / "0002.pgm")
+        stream = open_source(tmp_path, fps=25)
+        assert [next(stream).index for _ in range(2)] == [0, 1]
+        with pytest.raises(FrameSourceError) as err:
+            next(stream)
+        assert str(err.value) == "frame 2 dimensions (12, 8) differ from (8, 12)"
+
+    def test_header_bytes_change_with_the_same_shape(self, tmp_path):
+        arr = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        write_pgm(arr, tmp_path / "0000.pgm")
+        (tmp_path / "0001.pgm").write_bytes(b"P5 # same shape\n3 2 255\n" + arr.tobytes())
+        frames = list(open_source(tmp_path, fps=25))
+        for frame in frames:
+            np.testing.assert_array_equal(frame.luma, arr)
 
     def test_raw_pipe(self):
         frames = [np.full((4, 6), i, dtype=np.uint8) for i in range(3)]
@@ -369,6 +437,7 @@ class TestStreams:
     @example(first=b"P5\n2 2\n255 ", keep=10, rest=b"5\n", pixels=(4, 4))
     @example(first=b"P5 #c\n1 2\t255\r", keep=5, rest=b"x\n1 2\t255\r", pixels=(2, 2))
     @example(first=b"P5 1 1 255\x0b", keep=6, rest=b"#1\n 1 255\x0c", pixels=(1, 1))
+    @example(first=b"P5\n2 2\n255\n", keep=3, rest=b"1 4\n255\n", pixels=(4, 4))
     @given(
         first=_PGM_HEADER_BYTES,
         keep=st.integers(0, 40),
@@ -378,7 +447,8 @@ class TestStreams:
     def test_header_memo_matches_a_fresh_parse(self, tmp_path_factory, first, keep, rest, pixels):
         # The second file repeats the first one's header, or only a prefix
         # of it and then other bytes. Reading both from one directory, with
-        # the first header remembered, gives what reading each alone gives.
+        # the first header remembered, gives what reading each alone gives,
+        # except that a second frame of another shape ends the stream.
         directory = tmp_path_factory.mktemp("pgm")
         datas = [first + bytes(range(pixels[0])), first[:keep] + rest + bytes(range(pixels[1]))]
         for i, data in enumerate(datas):
@@ -388,6 +458,8 @@ class TestStreams:
             fresh.append(_outcome(_read_pgm, directory / f"{i}.pgm"))
             if isinstance(fresh[-1], str):
                 break
+        if len(fresh) == 2 and not isinstance(fresh[1], str) and fresh[1][0] != fresh[0][0]:
+            fresh[1] = f"frame 1 dimensions {fresh[1][0]} differ from {fresh[0][0]}"
         assert _dir_outcomes(directory) == fresh
 
     @given(header=st.binary(max_size=24), pixels=st.integers(0, 40))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cricseg import segmenter
+from cricseg.backend import OBJECT_LABELS, Detection, FrameAnnotations
 from cricseg.gate import (
+    DUAL_MODES,
+    STRATEGIES,
     Debouncer,
     GateConfig,
+    GateVerdict,
     apply_gate,
     gate_classifier,
     gate_dual,
@@ -16,10 +22,111 @@ from cricseg.gate import (
     gate_umpire,
 )
 from cricseg.metrics import confusion
+from cricseg.scenario import bundled_scripts, frame_stream, load_script, synthetic_backend
 
 from _support import make_annotations, random_labeled_stream
 
 CFG = GateConfig()
+
+
+# The reference gate: one pass over the detections for each signal, and a
+# new verdict for each frame.
+def _ref_fired(annotations, cfg):
+    signals = []
+    if annotations.front_prob >= cfg.classifier_threshold:
+        signals.append("classifier")
+    if any(
+        d.label == "umpire" and d.confidence >= cfg.umpire_conf_min
+        for d in annotations.detections
+    ):
+        signals.append("umpire")
+    if any(
+        d.label == "pitch" and d.confidence >= cfg.pitch_conf_min
+        for d in annotations.detections
+    ):
+        signals.append("pitch")
+    return tuple(signals)
+
+
+def _ref_gate_classifier(front_prob, cfg):
+    front = front_prob >= cfg.classifier_threshold
+    return GateVerdict("classifier", front, ("classifier",) if front else ())
+
+
+def _ref_gate_umpire(annotations, cfg):
+    front = "umpire" in _ref_fired(annotations, cfg)
+    return GateVerdict("umpire", front, ("umpire",) if front else ())
+
+
+def _ref_gate_pitch(annotations, cfg):
+    front = "pitch" in _ref_fired(annotations, cfg)
+    return GateVerdict("pitch", front, ("pitch",) if front else ())
+
+
+def _ref_gate_either(annotations, cfg):
+    fired = tuple(s for s in _ref_fired(annotations, cfg) if s != "classifier")
+    return GateVerdict("either", bool(fired), fired)
+
+
+def _ref_gate_dual(annotations, cfg):
+    fired = _ref_fired(annotations, cfg)
+    objects = any(s in fired for s in ("umpire", "pitch"))
+    classifier = "classifier" in fired
+    if cfg.dual_mode == "union":
+        front = classifier or objects
+    else:
+        front = classifier and objects
+    return GateVerdict("dual", front, fired)
+
+
+_REF_GATES = {
+    "classifier": lambda annotations, cfg: _ref_gate_classifier(annotations.front_prob, cfg),
+    "umpire": _ref_gate_umpire,
+    "pitch": _ref_gate_pitch,
+    "either": _ref_gate_either,
+    "dual": _ref_gate_dual,
+}
+
+
+def _ref_apply_gate(strategy, annotations, cfg):
+    return _REF_GATES[strategy](annotations, cfg)
+
+
+def _near(threshold):
+    """A score exactly at a threshold, just below or just above it, or
+    anywhere in [0, 1]."""
+    return st.one_of(
+        st.sampled_from(
+            [threshold, math.nextafter(threshold, -math.inf), math.nextafter(threshold, math.inf)]
+        ).filter(lambda v: 0.0 <= v <= 1.0),
+        st.floats(0, 1),
+    )
+
+
+@st.composite
+def _gate_cases(draw):
+    threshold = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
+    cfg = GateConfig(
+        classifier_threshold=draw(threshold),
+        umpire_conf_min=draw(threshold),
+        pitch_conf_min=draw(threshold),
+        dual_mode=draw(st.sampled_from(DUAL_MODES)),
+    )
+    # Every label may score at either object threshold, so a ball or a
+    # batsman at the umpire's threshold is drawn as often as an umpire.
+    confidence = st.one_of(_near(cfg.umpire_conf_min), _near(cfg.pitch_conf_min))
+    detections = draw(
+        st.lists(
+            st.builds(
+                lambda label, conf: Detection(label, (1.0, 2.0, 3.0, 4.0), conf),
+                st.sampled_from(sorted(OBJECT_LABELS)),
+                confidence,
+            ),
+            max_size=6,
+        )
+    )
+    front_prob = draw(_near(cfg.classifier_threshold))
+    return FrameAnnotations(0, front_prob, tuple(detections)), cfg
 
 
 class TestClassifierGate:
@@ -165,6 +272,53 @@ class TestEvidence:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             apply_gate("histogram", make_annotations(), CFG)
+
+
+class TestAgainstReference:
+    @given(case=_gate_cases(), strategy=st.sampled_from(STRATEGIES))
+    def test_apply_gate_matches_the_multi_pass_reference(self, case, strategy):
+        annotations, cfg = case
+        got = apply_gate(strategy, annotations, cfg)
+        want = _ref_apply_gate(strategy, annotations, cfg)
+        assert (got.strategy, got.is_front, got.evidence) == (
+            want.strategy, want.is_front, want.evidence,
+        )
+
+    @given(case=_gate_cases())
+    def test_gate_functions_match_the_reference(self, case):
+        annotations, cfg = case
+        assert gate_classifier(annotations.front_prob, cfg) == _ref_gate_classifier(
+            annotations.front_prob, cfg
+        )
+        assert gate_umpire(annotations, cfg) == _ref_gate_umpire(annotations, cfg)
+        assert gate_pitch(annotations, cfg) == _ref_gate_pitch(annotations, cfg)
+        assert gate_either(annotations, cfg) == _ref_gate_either(annotations, cfg)
+        assert gate_dual(annotations, cfg) == _ref_gate_dual(annotations, cfg)
+
+    def test_verdicts_are_shared(self):
+        first = apply_gate("dual", make_annotations(0, 0.9, umpire=0.8), CFG)
+        second = apply_gate("dual", make_annotations(1, 0.7, umpire=0.6), CFG)
+        assert first is second
+        assert gate_classifier(0.9, CFG) is apply_gate("classifier", make_annotations(0, 0.9), CFG)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scripts()))
+    def test_segment_clips_match_the_reference_gate(self, name, monkeypatch):
+        script = load_script(bundled_scripts()[name])
+        backend = synthetic_backend(script)
+        configs = [(s, CFG) for s in STRATEGIES if s != "dual"]
+        configs += [("dual", GateConfig(dual_mode=mode)) for mode in DUAL_MODES]
+        for strategy, cfg in configs:
+            clips = list(
+                segmenter.segment(frame_stream(script), backend, script.fps, cfg, strategy=strategy)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(segmenter, "apply_gate", _ref_apply_gate)
+                want = list(
+                    segmenter.segment(
+                        frame_stream(script), backend, script.fps, cfg, strategy=strategy
+                    )
+                )
+            assert clips == want, (strategy, cfg.dual_mode)
 
 
 def debounce(flags, k):
