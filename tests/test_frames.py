@@ -276,14 +276,6 @@ class TestStreams:
             next(stream)
         assert str(err.value) == "frame 2 dimensions (12, 8) differ from (8, 12)"
 
-    def test_header_bytes_change_with_the_same_shape(self, tmp_path):
-        arr = np.arange(6, dtype=np.uint8).reshape(2, 3)
-        write_pgm(arr, tmp_path / "0000.pgm")
-        (tmp_path / "0001.pgm").write_bytes(b"P5 # same shape\n3 2 255\n" + arr.tobytes())
-        frames = list(open_source(tmp_path, fps=25))
-        for frame in frames:
-            np.testing.assert_array_equal(frame.luma, arr)
-
     def test_raw_pipe(self):
         frames = [np.full((4, 6), i, dtype=np.uint8) for i in range(3)]
         buf = io.BytesIO(b"".join(f.tobytes() for f in frames))
