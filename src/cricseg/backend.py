@@ -109,18 +109,6 @@ class FrameAnnotations:
         return tuple(d for d in self.detections if d.label == label)
 
 
-# The loader builds most records from values it has already checked as
-# __post_init__ would; it sets their slots directly, skipping the frozen
-# __init__ and the checks it repeats.
-_new = object.__new__
-_set_label = Detection.label.__set__
-_set_box = Detection.box.__set__
-_set_confidence = Detection.confidence.__set__
-_set_frame_index = FrameAnnotations.frame_index.__set__
-_set_front_prob = FrameAnnotations.front_prob.__set__
-_set_detections = FrameAnnotations.detections.__set__
-
-
 class Backend(Protocol):
     """Anything that can annotate frames, streamed or by index."""
 
@@ -193,52 +181,6 @@ def _parse_detection(
     return det
 
 
-def _checked_detection(obj: object, fw: float, fh: float) -> Detection | None:
-    """The Detection of a full-frame detection object whose box and
-    confidence are floats that pass every check of ``_parse_detection``,
-    with (fw, fh) as the frame size; None for any other object, which
-    ``_parse_detection`` then loads or words the error for."""
-    if type(obj) is not dict or "space" in obj:
-        return None
-    label = obj.get("label")
-    box = obj.get("box")
-    conf = obj.get("conf")
-    if not (
-        type(label) is str
-        and label in OBJECT_LABELS
-        and type(box) is list
-        and len(box) == 4
-        and type(conf) is float
-        and 0.0 <= conf <= 1.0
-    ):
-        return None
-    x, y, w, h = box
-    # NaN fails every comparison; the upper bounds keep out infinities.
-    if not (
-        type(x) is float
-        and type(y) is float
-        and type(w) is float
-        and type(h) is float
-        and 0.0 <= x < inf
-        and 0.0 <= y < inf
-        and 0.0 < w < inf
-        and 0.0 < h < inf
-        and x + w <= fw
-        and y + h <= fh
-    ):
-        return None
-    det = _new(Detection)
-    _set_label(det, label)
-    _set_box(det, (x, y, w, h))
-    _set_confidence(det, conf)
-    return det
-
-
-# The C scanner under json.loads, minus its per-call wrapping. It reads one
-# value from a line stripped as json.loads strips it; json.loads itself runs
-# only to word a failure, so the message is its own.
-_scan_json = json.JSONDecoder().scan_once
-
 # The loader reads the file in blocks of about this many bytes, each
 # extended to the end of its last line, so that memory does not grow with
 # the file's size.
@@ -251,8 +193,6 @@ def _load_line(
     records: dict[int, FrameAnnotations],
     crop: CropSpec | None,
     frame_size: tuple[int, int] | None,
-    frame_w: float,
-    frame_h: float,
 ) -> None:
     """Load one line into records, or raise the AnnotationLoadError that
     names it."""
@@ -262,16 +202,10 @@ def _load_line(
         raise AnnotationLoadError(f"line {lineno}: not valid UTF-8") from None
     if line.isspace():
         return
-    text = line.strip(" \t\n\r")
     try:
-        obj, end = _scan_json(text, 0)
-        if end != len(text):
-            raise ValueError
-    except (StopIteration, ValueError):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AnnotationLoadError(f"line {lineno}: invalid JSON: {exc}") from exc
     try:
         index = obj["frame"]
         front_prob = obj["front_prob"]
@@ -290,22 +224,11 @@ def _load_line(
         raise AnnotationLoadError(
             f"line {lineno}: field 'detections' must be a JSON array"
         )
-    dets = tuple([
-        _checked_detection(d, frame_w, frame_h)
-        or _parse_detection(d, lineno, crop, frame_size)
-        for d in detections
-    ])
-    if type(front_prob) is float and 0.0 <= front_prob <= 1.0:
-        ann = _new(FrameAnnotations)
-        _set_frame_index(ann, index)
-        _set_front_prob(ann, front_prob)
-        _set_detections(ann, dets)
-    else:
-        try:
-            ann = FrameAnnotations(index, _float(front_prob), dets)
-        except ValueError as exc:
-            raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
-    records[index] = ann
+    dets = tuple([_parse_detection(d, lineno, crop, frame_size) for d in detections])
+    try:
+        records[index] = FrameAnnotations(index, _float(front_prob), dets)
+    except ValueError as exc:
+        raise AnnotationLoadError(f"line {lineno}: {exc}") from exc
 
 
 def load_precomputed(
@@ -352,7 +275,7 @@ def load_precomputed(
                     break
                 end = block.find(b"\n", pos) + 1 or len(block)
                 lineno += 1
-                _load_line(block[pos:end], lineno, records, crop, frame_size, frame_w, frame_h)
+                _load_line(block[pos:end], lineno, records, crop, frame_size)
                 pos = end
     return MappingBackend(records)
 

@@ -308,8 +308,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _read_bool_lines(path: str) -> list[bool]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # An undecodable byte reads as a lone surrogate, which does not encode.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
             token = line.strip().lower()
             if not token:
                 continue
@@ -329,6 +334,8 @@ def _read_counts(path: str) -> ConfusionMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             counts = json.load(fh)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(counts, dict):

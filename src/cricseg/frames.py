@@ -125,30 +125,14 @@ def crop_offsets(spec: CropSpec, width: int, height: int) -> tuple[int, int]:
     return int(spec.left * width), int(spec.top * height)
 
 
-class FrameStream:
-    """Pull-based, single-consumer stream of frames in index order."""
-
-    def __init__(self, frames: Iterable[Frame], fps: float) -> None:
-        if not 0.0 < fps < inf:
-            raise FrameSourceError("fps must be positive and finite")
-        self._it = iter(frames)
-        self._next_index = 0
-
-    def __iter__(self) -> Iterator[Frame]:
-        return self
-
-    def __next__(self) -> Frame:
-        frame = next(self._it)
-        if frame.index != self._next_index:
-            raise FrameSourceError(
-                f"frame indices must be gapless: expected {self._next_index}, got {frame.index}"
-            )
-        self._next_index += 1
-        return frame
+def _check_fps(fps: float) -> None:
+    if not 0.0 < fps < inf:
+        raise FrameSourceError("fps must be positive and finite")
 
 
-def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
-    """Wrap an iterable of uint8 luma arrays as a FrameStream."""
+def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> Iterator[Frame]:
+    """Frames 0, 1, ... of an iterable of uint8 luma arrays."""
+    _check_fps(fps)
 
     def gen() -> Iterator[Frame]:
         shape = None
@@ -158,7 +142,7 @@ def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> FrameStream:
                 arr = np.ascontiguousarray(arr, dtype=np.uint8)
             yield Frame(i, i * 1000.0 / fps, arr)
 
-    return FrameStream(gen(), fps)
+    return gen()
 
 
 def _same_shape(i: int, shape: tuple, first: tuple | None) -> tuple:
@@ -340,7 +324,7 @@ def open_source(
     fps: float,
     width: int | None = None,
     height: int | None = None,
-) -> FrameStream:
+) -> Iterator[Frame]:
     """Open an image-sequence directory or a raw-luma byte stream.
 
     Directories hold zero-padded numbered PGM/PNG files. A byte stream is
@@ -352,5 +336,6 @@ def open_source(
         return stream_from_arrays(_raw_pipe_frames(uri, width, height), fps)
     path = Path(uri)
     if path.is_dir():
-        return FrameStream(_image_dir_frames(path, fps), fps)
+        _check_fps(fps)
+        return _image_dir_frames(path, fps)
     raise FrameSourceError(f"{path}: not a readable frame directory")

@@ -162,14 +162,15 @@ band_abs_diff_mean(PyObject *Py_UNUSED(module), PyObject *args)
 
 /* ---- Annotation lines ---------------------------------------------------
  *
- * A line is accepted only in the shape backend.load_precomputed builds
- * through slots: an object with "frame" (digits, no sign), "front_prob" (a
+ * A line is accepted only in a shape that backend._load_line loads without
+ * an error: an object with "frame" (digits, no sign), "front_prob" (a
  * number with a fraction or an exponent, in [0, 1]) and optionally
  * "detections", an array of objects with "label" (one of the five labels,
  * unescaped), "box" (four such numbers) and "conf" (one, in [0, 1]); no
- * other key, none twice, JSON whitespace only between tokens, and the box
- * checks of _checked_detection. Anything else, a frame already loaded or a
- * number longer than MAX_NUMBER ends the scan at that line. */
+ * other key, none twice, JSON whitespace only between tokens, and boxes
+ * that pass Detection's checks and _parse_detection's frame bounds.
+ * Anything else, a frame already loaded or a number longer than MAX_NUMBER
+ * ends the scan at that line. */
 
 #define MAX_NUMBER 40
 #define LABELS 5
@@ -357,8 +358,9 @@ parse_box(const char **pp, const char *end, double box[4])
     return 1;
 }
 
-/* One detection object; the checks are _checked_detection's. NaN fails
- * every comparison, and the upper bounds keep out infinities. */
+/* One detection object; the checks are Detection's and _parse_detection's
+ * frame bounds. NaN fails every comparison, and the upper bounds keep out
+ * infinities. */
 static int
 parse_detection(const char **pp, const char *end, ParsedDetection *d, double fw, double fh)
 {

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from cricseg.backend import Detection, FrameAnnotations, MappingBackend
-from cricseg.frames import BandSpec, Frame, FrameStream
+from cricseg.frames import BandSpec, Frame, stream_from_arrays
 from cricseg.geometry import PitchSpec, RowCalibration, classify_delivery, distance_to_row
 
 FRONT_VIEW = "front_view"
@@ -364,12 +364,10 @@ def render_frame(script: ScenarioScript, index: int, band: BandSpec | None = Non
     return luma
 
 
-def frame_stream(script: ScenarioScript, band: BandSpec | None = None) -> FrameStream:
-    def gen() -> Iterator[Frame]:
-        for i in range(script.n_frames):
-            yield Frame(i, i * 1000.0 / script.fps, render_frame(script, i, band))
-
-    return FrameStream(gen(), script.fps)
+def frame_stream(script: ScenarioScript, band: BandSpec | None = None) -> Iterator[Frame]:
+    return stream_from_arrays(
+        (render_frame(script, i, band) for i in range(script.n_frames)), script.fps
+    )
 
 
 # --- script loading -----------------------------------------------------------
@@ -441,6 +439,8 @@ def load_script(path: str | Path) -> ScenarioScript:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return script_from_obj(json.load(fh))
+        except UnicodeDecodeError:
+            raise ScenarioError(f"{path}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
         except ScenarioError as exc:

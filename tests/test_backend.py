@@ -389,7 +389,7 @@ class TestLoader:
         crop=st.sampled_from([None, CropSpec(0.1, 0.1, 0.1, 0.1)]),
         frame_size=st.sampled_from([None, (160, 90), (100, 100)]),
     )
-    def test_fast_path_matches_parse_detection(
+    def test_loader_matches_parse_detection(
         self, tmp_path_factory, dets, front_prob, crop, frame_size
     ):
         # The loader builds what _parse_detection and FrameAnnotations

@@ -784,3 +784,31 @@ class TestConfigFile:
             finite = True
         if not finite:
             assert code == 1 and f"config key {key}" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "reader, argv, code, where",
+    [
+        ("config", ["segment", "--config", "{bad}", "--scenario", "one_delivery",
+                    "--out", "{tmp}/m.jsonl"], 1, "config error: {bad}: "),
+        ("scenario", ["segment", "--scenario", "{bad}", "--backend", "synthetic",
+                      "--out", "{tmp}/m.jsonl"], 2, "{bad}: "),
+        ("counts", ["eval", "--counts", "{bad}"], 2, "{bad}: "),
+        ("predictions", ["eval", "--predictions", "{bad}", "--labels", "{good}"], 2, "{bad}:2: "),
+        ("labels", ["eval", "--predictions", "{good}", "--labels", "{bad}"], 2, "{bad}:2: "),
+    ],
+    ids=["config", "scenario", "counts", "predictions", "labels"],
+)
+def test_file_not_utf8_is_located_error(tmp_path, capsys, reader, argv, code, where):
+    # Line 1 is valid in every reader's format; line 2 holds a byte that
+    # no UTF-8 text has.
+    first = {"config": b"gate.strategy = dual", "scenario": b'{"segments": [',
+             "counts": b'{"tp": 1,'}.get(reader, b"1")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(first + b"\n\xff\n")
+    (tmp_path / "good.txt").write_bytes(b"1\n0\n")
+    names = {"bad": bad, "good": tmp_path / "good.txt", "tmp": tmp_path}
+    assert main([arg.format(**names) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert where.format(**names) + "not valid UTF-8" in err
+    assert "UnicodeDecodeError" not in err and "Traceback" not in err

@@ -210,14 +210,34 @@ class TestStreams:
         assert [f.timestamp_ms for f in frames] == [i * 20.0 for i in range(10)]
         assert frames[3].luma[0, 0] == 3
 
-    def test_fps_zero_rejected(self, tmp_path):
-        with pytest.raises(FrameSourceError):
-            open_source(tmp_path, fps=0)
+    @pytest.mark.parametrize("fps", [0, -1, float("inf"), float("nan")])
+    @pytest.mark.parametrize("opener", ["directory", "raw stream", "arrays"])
+    def test_bad_fps_rejected_before_any_pull(self, tmp_path, monkeypatch, opener, fps):
+        # Every opener raises at the call, before it reads a frame.
+        reads = []
+        luma = np.zeros((2, 3), dtype=np.uint8)
+        write_pgm(luma, tmp_path / "0.pgm")
+        monkeypatch.setattr(
+            "cricseg.frames._read_file", lambda *a: reads.append(a) or _read_file(*a)
+        )
 
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
-    def test_non_finite_fps_rejected(self, tmp_path, fps):
-        with pytest.raises(FrameSourceError, match="fps"):
-            open_source(tmp_path, fps=fps)
+        class Raw(io.BytesIO):
+            def read(self, n=-1):
+                reads.append(n)
+                return super().read(n)
+
+        def arrays():
+            reads.append("array")
+            yield luma
+
+        with pytest.raises(FrameSourceError, match="fps must be positive and finite"):
+            if opener == "directory":
+                open_source(tmp_path, fps=fps)
+            elif opener == "raw stream":
+                open_source(Raw(luma.tobytes()), fps=fps, width=3, height=2)
+            else:
+                stream_from_arrays(arrays(), fps=fps)
+        assert reads == []
 
     def test_empty_directory_rejected(self, tmp_path):
         stream = open_source(tmp_path, fps=25)

@@ -1,0 +1,93 @@
+"""Golden outputs: segment -> track -> classify on every bundled scenario.
+
+Each run's manifest, trajectory files and report are hashed and compared
+with digests pinned here, so a change that should leave outputs
+byte-identical is held to it on every build. The file-backend runs write
+each scenario's frames as PGM files and its annotations as JSON Lines,
+then run the same three commands over them, and must give the synthetic
+backend's bytes; ``match_5pct`` is left out of those, as its frames would
+take about 0.9 GB.
+
+A change that means to alter outputs updates these digests and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from cricseg.backend import dump_annotations
+from cricseg.cli import main
+from cricseg.frames import write_pgm
+from cricseg.scenario import frame_stream, resolve_script, synthetic_backend
+
+GOLDEN = {
+    "delivery_plus_replay": {
+        "manifest": "7b68f90d8f03a9aa0638bb16bdf3f6d22392702d99f942efcbc9721b5b6ebbc6",
+        "trajectories": "5f156bc74002f5a5a736f08404f9f72560394de02c3c67f247c17f8b15f5a5ac",
+        "report": "6c5127a4603e6c1b1a234b4dbdbb878a2e82b2f9bb259348870e4f9060cab542",
+    },
+    "match_5pct": {
+        "manifest": "6aab820faa0d6b00eaec09f089596eff5a9e0b4d6f7d3aceed7839fc2c6fd818",
+        "trajectories": "7d14b601369c9c9879b0f947abebb4377d8992150ee4961d4723ee8ea2edb95f",
+        "report": "41514f842ffba83eac7906e72fbd756d9e5abf697c0d5aacf6019e2d6d8c6871",
+    },
+    "one_delivery": {
+        "manifest": "f1656dd4840219ed70ffc3de8b1d9b20ea35f681f5579a0cae34825c8e97a24e",
+        "trajectories": "a0909eccd77ec58ce8a20b95749c2af1c78b69a1aee8e4ad981758f680ca0b9e",
+        "report": "3df99fdecd433e15aa51b6515679b6511a91a54f653001219d426a7d2b1e797a",
+    },
+    "three_lengths": {
+        "manifest": "1e768fc4f04b17e7da419657d978958b5bfe1815bf7dd3e239fb773eac19bd7b",
+        "trajectories": "f13891c63f7debbc87c22b7a5dc1d69e309a915cbae435c9c4569f37377e64d9",
+        "report": "f38d04a7c02763c0d1a79af5e6ee805658c75527dd75f9b2b14fe0e1c04811fc",
+    },
+}
+
+
+def _pipeline_digests(tmp_path, common):
+    """SHA-256 of the manifest, of the trajectory files (names and bytes,
+    in name order) and of the report of one three-command run."""
+    manifest = tmp_path / "manifest.jsonl"
+    traj_dir = tmp_path / "trajectories"
+    report = tmp_path / "report.jsonl"
+    assert main(["segment", *common, "--out", str(manifest)]) == 0
+    assert main(["track", *common, "--manifest", str(manifest), "--out", str(traj_dir)]) == 0
+    assert main(["classify", *common, "--trajectories", str(traj_dir), "--out", str(report)]) == 0
+    trajectories = hashlib.sha256()
+    for path in sorted(traj_dir.iterdir()):
+        trajectories.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return {
+        "manifest": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        "trajectories": trajectories.hexdigest(),
+        "report": hashlib.sha256(report.read_bytes()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["delivery_plus_replay", "match_5pct", "one_delivery", "three_lengths"]
+)
+def test_synthetic_backend_outputs(tmp_path, name):
+    common = ["--scenario", name, "--backend", "synthetic"]
+    assert _pipeline_digests(tmp_path, common) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["delivery_plus_replay", "one_delivery", "three_lengths"])
+def test_file_backend_outputs(tmp_path, name):
+    script = resolve_script(name)
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for frame in frame_stream(script):
+        write_pgm(frame.luma, frames_dir / f"{frame.index:06d}.pgm")
+    backend = synthetic_backend(script)
+    ann_path = tmp_path / "annotations.jsonl"
+    dump_annotations([backend.by_index(i) for i in range(script.n_frames)], ann_path)
+    common = [
+        "--source", str(frames_dir),
+        "--backend", f"file:{ann_path}",
+        "--fps", f"{script.fps:g}",
+        "--width", str(script.width),
+        "--height", str(script.height),
+    ]
+    assert _pipeline_digests(tmp_path, common) == GOLDEN[name]
