@@ -11,6 +11,9 @@ There is no ``-march=native``: the build targets the platform's baseline,
 so what is built on one machine runs on any CPU of that platform. On
 x86-64 with glibc, ``_native.c`` itself asks for an AVX2 clone of the
 update loop, and the loader picks it at import on CPUs that have AVX2.
+
+``-pthread`` is for the thread that reads frame files ahead; where
+``<pthread.h>`` is missing, ``_native.c`` leaves that reader out.
 """
 
 from setuptools import Extension, setup
@@ -20,7 +23,8 @@ setup(
         Extension(
             "cricseg.kernels._native",
             ["src/cricseg/kernels/_native.c"],
-            extra_compile_args=["-O3", "-ffp-contract=off"],
+            extra_compile_args=["-O3", "-ffp-contract=off", "-pthread"],
+            extra_link_args=["-pthread"],
             optional=True,
         )
     ]

@@ -5,6 +5,8 @@ and a timestamp derived from the declared fps. Sources are an image
 directory (numbered PGM/PNG files) or a headerless raw-luma pipe; codec
 decoding is left to external tooling. Readers do not copy pixels: a
 frame's ``luma`` may be a read-only view of the bytes read from the source.
+A directory's PGM files are read through ``kernels.ACTIVE.read_files``,
+which the compiled build runs two files ahead on a thread of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
+
+from cricseg import kernels
+from cricseg.kernels import _fallback
 
 
 _UINT8 = np.dtype(np.uint8)
@@ -178,39 +183,6 @@ _PGM_HEADER = re.compile(
 )
 
 
-def _read_file(path: str | Path, size_hint: int | None = None) -> bytes:
-    """All bytes of a file, read without a file object.
-
-    ``size_hint`` is the size the file is expected to have, or None to ask
-    the file system. A file no larger than that takes one read, plus the
-    one that finds its end.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        if size_hint is None:
-            size_hint = os.fstat(fd).st_size
-        chunks = []
-        total = 0
-        # Each read asks for what is left of room for hint + 1 bytes, so
-        # the read that finds the end asks for one byte, not another
-        # frame-sized buffer; once the room is full, it doubles.
-        room = size_hint + 1
-        while chunk := os.read(fd, room):
-            chunks.append(chunk)
-            total += len(chunk)
-            room -= len(chunk)
-            if not room:
-                room = total
-    except OSError as exc:
-        # A directory opens; only its read fails, and that names no file.
-        if exc.filename is None:
-            exc.filename = os.fspath(path)
-        raise
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
 def _pgm_header(path: str | Path, data: bytes) -> tuple[int, int, int]:
     """Width, height and pixel offset of a P5 header. Whether the data
     holds that many pixels is left to ``_pgm_pixels``."""
@@ -239,7 +211,7 @@ def _pgm_pixels(path: str | Path, data: bytes, width: int, height: int, pos: int
 
 def _read_pgm(path: str | Path) -> np.ndarray:
     """The luma plane of one PGM file, read and parsed on its own."""
-    data = _read_file(path)
+    data = _fallback.read_file(path)
     return _pgm_pixels(path, data, *_pgm_header(path, data))
 
 
@@ -263,6 +235,9 @@ def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
         for entry in it:
             m = _NUMBERED.search(entry.name)
             if m:
+                # A FIFO would block its read, and the stream, for good.
+                if not entry.is_file():
+                    raise FrameSourceError(f"{prefix + entry.name}: not a regular file")
                 entries.append((int(m.group(1)), prefix + entry.name, m.group(2).lower()))
     if not entries:
         raise FrameSourceError(f"{directory}: no numbered .pgm/.png files found")
@@ -276,34 +251,46 @@ def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
             raise FrameSourceError(
                 f"{prev_path} and {path}: frame numbers skip from {prev} to {num}"
             )
-    # Each file is read with the previous one's size as the hint. A file
-    # that starts with the previous PGM header's exact bytes reuses its
-    # parse, and so its shape: a token runs to the next whitespace byte,
-    # and whitespace and comments match only one way, so the regex would
-    # match those bytes alike and stop at the same place.
-    size = None
+    # The compiled reader reads files ahead on a second thread, which pays
+    # only where a second CPU can run it.
+    read_files = kernels.ACTIVE.read_files if _cpus() > 1 else _fallback.read_files
+    files = read_files([path for _, path, ext in entries if ext == "pgm"], None)
+    # A file that starts with the previous PGM header's exact bytes reuses
+    # its parse, and so its shape: a token runs to the next whitespace
+    # byte, and whitespace and comments match only one way, so the regex
+    # would match those bytes alike and stop at the same place.
     head = None
     shape = None
-    for i, (_, path, ext) in enumerate(entries):
-        if ext == "png":
-            luma = _read_png(path)
-            shape = _same_shape(i, luma.shape, shape)
-            yield Frame(i, i * 1000.0 / fps, luma)
-            continue
-        data = _read_file(path, size)
-        size = len(data)
-        if head is not None and data.startswith(head):
-            luma = _pgm_pixels(path, data, width, height, pos)
-        else:
-            width, height, pos = _pgm_header(path, data)
-            head = data[:pos]
-            luma = _pgm_pixels(path, data, width, height, pos)
-            shape = _same_shape(i, luma.shape, shape)
-        frame = _new(Frame)
-        _set_index(frame, i)
-        _set_timestamp_ms(frame, i * 1000.0 / fps)
-        _set_luma(frame, luma)
-        yield frame
+    try:
+        for i, (_, path, ext) in enumerate(entries):
+            if ext == "png":
+                luma = _read_png(path)
+                shape = _same_shape(i, luma.shape, shape)
+                yield Frame(i, i * 1000.0 / fps, luma)
+                continue
+            data = next(files)
+            if head is not None and data.startswith(head):
+                luma = _pgm_pixels(path, data, width, height, pos)
+            else:
+                width, height, pos = _pgm_header(path, data)
+                head = data[:pos]
+                luma = _pgm_pixels(path, data, width, height, pos)
+                shape = _same_shape(i, luma.shape, shape)
+            frame = _new(Frame)
+            _set_index(frame, i)
+            _set_timestamp_ms(frame, i * 1000.0 / fps)
+            _set_luma(frame, luma)
+            yield frame
+    finally:
+        files.close()
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarray]:

@@ -18,11 +18,32 @@
  * never reads past the LF that ends a line, builds nothing before a whole
  * line has passed every check, and leaves any line it cannot prove it
  * loads as the Python loader would to that loader.
+ *
+ * read_files reads frame files ahead on one pthread of its own. That
+ * thread never takes the GIL and touches no Python object: it reads the
+ * C strings of the paths, and writes into the buffers of bytes objects
+ * that the main thread allocated. Which thread may touch a buffer is
+ * decided under the reader's mutex: the main thread takes a buffer back
+ * once the thread has marked it read, and drops the others only after
+ * joining the thread. Where <pthread.h> is missing the module has no
+ * read_files, and the package reads files with the Python fallback.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
+
+#if defined(__has_include)
+#if __has_include(<pthread.h>)
+#define HAVE_READER_THREAD
+#include <errno.h>
+#include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
+#endif
 
 /* Acquire obj as a 2-D C-contiguous plane of `format` items. On failure
  * nothing is held and ValueError (or the exporter's error) is set. */
@@ -457,6 +478,16 @@ parse_record(const char *p, const char *end, ParsedRecord *rec, double fw, doubl
     return 0.0 <= rec->front_prob && rec->front_prob <= 1.0;
 }
 
+/* The records are frozen and hold only str, float, int and tuples of
+ * these, so they cannot be part of a reference cycle: untracking them
+ * spares the cyclic collector thousands of objects per load. */
+static void
+untrack(PyObject *obj)
+{
+    if (PyObject_IS_GC(obj))
+        PyObject_GC_UnTrack(obj);
+}
+
 /* Set a slot through its descriptor, as descriptor.__set__ does; steals
  * a reference to value, which may be NULL after a failed allocation. */
 static int
@@ -483,6 +514,7 @@ new_detection(const Slots *s, const ParsedDetection *d)
         }
         PyTuple_SET_ITEM(box, i, v);
     }
+    untrack(box);
     if ((det = s->detection->tp_alloc(s->detection, 0)) == NULL) {
         Py_DECREF(box);
         return NULL;
@@ -493,6 +525,7 @@ new_detection(const Slots *s, const ParsedDetection *d)
         Py_DECREF(det);
         return NULL;
     }
+    untrack(det);
     return det;
 }
 
@@ -519,11 +552,14 @@ add_record(const Slots *s, const ParsedRecord *rec, PyObject *records)
             goto done;
         PyTuple_SET_ITEM(dets, i, det);
     }
+    untrack(dets);
     if ((ann = s->annotations->tp_alloc(s->annotations, 0)) == NULL
         || set_slot(s->frame_index, ann, Py_NewRef(key)) < 0
         || set_slot(s->front_prob, ann, PyFloat_FromDouble(rec->front_prob)) < 0
-        || set_slot(s->detections, ann, Py_NewRef(dets)) < 0
-        || PyDict_SetItem(records, key, ann) < 0)
+        || set_slot(s->detections, ann, Py_NewRef(dets)) < 0)
+        goto done;
+    untrack(ann);
+    if (PyDict_SetItem(records, key, ann) < 0)
         goto done;
     r = 1;
 done:
@@ -629,18 +665,509 @@ done:
     return result;
 }
 
+/* ---- Frame files ----------------------------------------------------------
+ *
+ * read_files(paths, size_hint) yields each file's bytes in order, as
+ * _fallback.read_files does. From the first pull that knows a size to go
+ * by, one thread reads ahead of the pulls, each file into a bytes object
+ * of hint + 1 bytes that the main thread allocated, hint being the size
+ * of the last file yielded. It reads as many files ahead as fit in
+ * AHEAD_BYTES, but never fewer than 2 or more than AHEAD_MAX.
+ *
+ * The two threads claim files in order. A pull takes its file when the
+ * thread has read it, waits, with the GIL released, only while the thread
+ * is reading it, and otherwise claims and reads it itself: a sleeping
+ * thread can take milliseconds to wake on a busy host, far longer than a
+ * small frame takes. For the same reason the thread, once it has read
+ * every queued file, sleeps until half of the read-ahead is queued again.
+ * A read that fills its buffer may have stopped short of the end, so that
+ * file is read again, whole, by the pull. Errors are raised when their
+ * file is pulled, and end the iterator. */
+
+#ifdef HAVE_READER_THREAD
+
+#define AHEAD_BYTES (1 << 19)
+#define AHEAD_MAX 64
+
+typedef struct {
+    PyObject *data;     /* the buffer's bytes object, owned by the main thread */
+    char *buf;
+    Py_ssize_t cap;
+    Py_ssize_t len;     /* bytes read, or -1 with err set */
+    int err;
+    int done;           /* read by the thread */
+} Slot;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *paths;    /* tuple of the path objects, which errors name */
+    PyObject *encoded;  /* tuple of their file system encodings, as bytes */
+    const char **names; /* the bytes' buffers, which the thread reads */
+    Py_ssize_t n;
+    Py_ssize_t next;    /* the file the next pull yields; n once finished */
+    Py_ssize_t hint;    /* expected size of the files to come; -1 asks fstat */
+    Slot *slots;        /* file i goes through slots[i % depth] */
+    Py_ssize_t depth;
+    /* Shared with the thread, under lock, with the slots' done flags.
+     * Files [claimed, queued) have buffers and wait for a reader. */
+    Py_ssize_t queued;
+    Py_ssize_t claimed;
+    int thread_idle;    /* the thread sleeps until more is queued */
+    int main_waiting;   /* the main thread sleeps until its file is read */
+    int stop;
+    pthread_mutex_t lock;
+    pthread_cond_t cond;
+    pthread_t thread;
+    int running;        /* started and not joined */
+    int threadless;     /* the thread could not start: read every file here */
+    int busy;           /* a pull or close is under way, maybe waiting */
+} FileReader;
+
+static int
+open_file(const char *name, int *err)
+{
+    int fd;
+
+    do
+        fd = open(name, O_RDONLY | O_CLOEXEC);
+    while (fd < 0 && errno == EINTR);
+    if (fd < 0)
+        *err = errno;
+    return fd;
+}
+
+/* Read fd into buf until cap bytes or the end: the count, or -1 with *err
+ * set. */
+static Py_ssize_t
+read_fd(int fd, char *buf, Py_ssize_t cap, int *err)
+{
+    Py_ssize_t len = 0;
+
+    while (len < cap) {
+        size_t want = (size_t)(cap - len) < INT_MAX ? (size_t)(cap - len) : INT_MAX;
+        ssize_t got = read(fd, buf + len, want);
+        if (got > 0)
+            len += got;
+        else if (got == 0)
+            break;
+        else if (errno != EINTR) {
+            *err = errno;
+            return -1;
+        }
+    }
+    return len;
+}
+
+/* Read the named file into the slot's buffer; touches no Python object. */
+static void
+read_slot(const char *name, Slot *s)
+{
+    int err = 0, fd = open_file(name, &err);
+
+    s->len = -1;
+    if (fd >= 0) {
+        s->len = read_fd(fd, s->buf, s->cap, &err);
+        close(fd);
+    }
+    s->err = err;
+}
+
+static void *
+reader_main(void *arg)
+{
+    FileReader *r = arg;
+
+    pthread_mutex_lock(&r->lock);
+    while (!r->stop && r->claimed < r->n) {
+        if (r->claimed == r->queued) {
+            r->thread_idle = 1;
+            pthread_cond_wait(&r->cond, &r->lock);
+            r->thread_idle = 0;
+            continue;
+        }
+        Py_ssize_t i = r->claimed++;
+        Slot *s = &r->slots[i % r->depth];
+        pthread_mutex_unlock(&r->lock);
+        read_slot(r->names[i], s);
+        pthread_mutex_lock(&r->lock);
+        s->done = 1;
+        if (r->main_waiting)
+            pthread_cond_broadcast(&r->cond);
+    }
+    pthread_mutex_unlock(&r->lock);
+    return NULL;
+}
+
+static PyObject *
+raise_errno(int err, PyObject *path)
+{
+    errno = err;
+    return PyErr_SetFromErrnoWithFilenameObject(PyExc_OSError, path);
+}
+
+/* All bytes of file i, read here: room for hint + 1 bytes (hint < 0 asks
+ * fstat), doubled while the reads fill it. */
+static PyObject *
+read_whole(FileReader *r, Py_ssize_t i, Py_ssize_t hint)
+{
+    const char *name = r->names[i];
+    PyObject *data = NULL;
+    Py_ssize_t len = 0, got = 0;
+    struct stat st;
+    int fd, err = 0;
+
+    Py_BEGIN_ALLOW_THREADS
+    fd = open_file(name, &err);
+    if (fd >= 0 && hint < 0) {
+        if (fstat(fd, &st) == 0)
+            hint = st.st_size < PY_SSIZE_T_MAX ? (Py_ssize_t)st.st_size : PY_SSIZE_T_MAX - 1;
+        else
+            err = errno;
+    }
+    Py_END_ALLOW_THREADS
+    if (err)
+        goto done;
+    data = PyBytes_FromStringAndSize(NULL, hint + 1);
+    while (data != NULL) {
+        Py_ssize_t cap = PyBytes_GET_SIZE(data);
+        char *buf = PyBytes_AS_STRING(data);
+        Py_BEGIN_ALLOW_THREADS
+        got = read_fd(fd, buf + len, cap - len, &err);
+        Py_END_ALLOW_THREADS
+        if (got < 0)
+            break;
+        len += got;
+        if (len < cap)
+            break;
+        if (cap > PY_SSIZE_T_MAX / 2) {
+            Py_CLEAR(data);
+            PyErr_NoMemory();
+        }
+        else
+            _PyBytes_Resize(&data, 2 * cap);
+    }
+done:
+    if (fd >= 0)
+        close(fd);
+    if (err) {
+        Py_XDECREF(data);
+        return raise_errno(err, PyTuple_GET_ITEM(r->paths, i));
+    }
+    if (data != NULL && len < PyBytes_GET_SIZE(data))
+        _PyBytes_Resize(&data, len);
+    return data;
+}
+
+static void
+drop_buffers(FileReader *r)
+{
+    for (Py_ssize_t k = 0; k < r->depth; k++)
+        Py_CLEAR(r->slots[k].data);
+}
+
+/* Stop and join the thread, drop the buffers, and end the iteration. */
+static void
+reader_finish(FileReader *r)
+{
+    if (r->running) {
+        Py_BEGIN_ALLOW_THREADS
+        pthread_mutex_lock(&r->lock);
+        r->stop = 1;
+        pthread_cond_broadcast(&r->cond);
+        pthread_mutex_unlock(&r->lock);
+        pthread_join(r->thread, NULL);
+        Py_END_ALLOW_THREADS
+        r->running = 0;
+    }
+    drop_buffers(r);
+    r->next = r->n;
+}
+
+/* Start the thread, sizing the read-ahead by the hint. Where it cannot
+ * start, every file is read here instead. */
+static int
+reader_start(FileReader *r)
+{
+    Py_ssize_t depth = AHEAD_BYTES / (r->hint + 1);
+
+    r->depth = depth < 2 ? 2 : depth > AHEAD_MAX ? AHEAD_MAX : depth;
+    if ((r->slots = PyMem_Calloc(r->depth, sizeof(Slot))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    r->claimed = r->queued = r->next;
+    /* Signals stay with the main thread, whose handlers Python runs. */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    r->running = pthread_create(&r->thread, NULL, reader_main, r) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    r->threadless = !r->running;
+    return 0;
+}
+
+/* Give buffers to the files up to next + depth; wake the thread once it
+ * has half of that to read, or the last file. */
+static int
+reader_queue(FileReader *r)
+{
+    Py_ssize_t end = r->next + r->depth < r->n ? r->next + r->depth : r->n;
+    Py_ssize_t queued = r->queued;
+
+    /* The slots of files [queued, end) are free: their last files have
+     * been taken, and no reader claims a file before it is queued. */
+    for (; queued < end; queued++) {
+        Slot *s = &r->slots[queued % r->depth];
+        if ((s->data = PyBytes_FromStringAndSize(NULL, r->hint + 1)) == NULL)
+            return -1;
+        s->buf = PyBytes_AS_STRING(s->data);
+        s->cap = PyBytes_GET_SIZE(s->data);
+        s->done = 0;
+    }
+    pthread_mutex_lock(&r->lock);
+    r->queued = queued;
+    if (r->thread_idle && (2 * (queued - r->claimed) >= r->depth || queued == r->n))
+        pthread_cond_broadcast(&r->cond);
+    pthread_mutex_unlock(&r->lock);
+    return 0;
+}
+
+/* The bytes of file next: from the thread once it has read them, or read
+ * here if it has not started on them. */
+static PyObject *
+reader_take(FileReader *r)
+{
+    Py_ssize_t i = r->next;
+    Slot *s = &r->slots[i % r->depth];
+    PyObject *data;
+    int done, mine;
+
+    pthread_mutex_lock(&r->lock);
+    done = s->done;
+    mine = !done && r->claimed == i;
+    if (mine)
+        r->claimed = i + 1;
+    else if (!done)
+        r->main_waiting = 1;
+    pthread_mutex_unlock(&r->lock);
+    if (!done) {
+        Py_BEGIN_ALLOW_THREADS
+        if (mine)
+            read_slot(r->names[i], s);
+        else {
+            pthread_mutex_lock(&r->lock);
+            while (!s->done)
+                pthread_cond_wait(&r->cond, &r->lock);
+            r->main_waiting = 0;
+            pthread_mutex_unlock(&r->lock);
+        }
+        Py_END_ALLOW_THREADS
+    }
+    /* A read file is the main thread's until it queues its slot again. */
+    data = s->data;
+    s->data = NULL;
+    if (s->len < 0) {
+        Py_DECREF(data);
+        return raise_errno(s->err, PyTuple_GET_ITEM(r->paths, i));
+    }
+    if (s->len == s->cap) {
+        Py_DECREF(data);
+        return read_whole(r, i, -1);
+    }
+    if (_PyBytes_Resize(&data, s->len) < 0)
+        return NULL;
+    return data;
+}
+
+/* Start the thread unless it runs or cannot, and queue files for it. */
+static int
+reader_ahead(FileReader *r)
+{
+    if (!r->running && !r->threadless && reader_start(r) < 0)
+        return -1;
+    return r->running ? reader_queue(r) : 0;
+}
+
+static PyObject *
+reader_next(FileReader *r)
+{
+    PyObject *data;
+
+    if (r->next >= r->n)
+        return NULL;
+    /* Without a size to go by, the first file is read here. */
+    if (!r->running && r->hint >= 0 && reader_ahead(r) < 0) {
+        reader_finish(r);
+        return NULL;
+    }
+    data = r->running ? reader_take(r) : read_whole(r, r->next, r->hint);
+    r->next++;
+    if (data == NULL || r->next == r->n) {
+        reader_finish(r);
+        return data;
+    }
+    r->hint = PyBytes_GET_SIZE(data);
+    if (reader_ahead(r) < 0) {
+        Py_DECREF(data);
+        reader_finish(r);
+        return NULL;
+    }
+    return data;
+}
+
+/* A pull waits without the GIL, so another Python thread could pull or
+ * close meanwhile and take the same slot; refuse it, as a generator does. */
+static int
+reader_enter(FileReader *r)
+{
+    if (r->busy) {
+        PyErr_SetString(PyExc_ValueError, "FileReader already executing");
+        return -1;
+    }
+    r->busy = 1;
+    return 0;
+}
+
+static PyObject *
+reader_iternext(PyObject *self)
+{
+    FileReader *r = (FileReader *)self;
+    PyObject *data;
+
+    if (reader_enter(r) < 0)
+        return NULL;
+    data = reader_next(r);
+    r->busy = 0;
+    return data;
+}
+
+static PyObject *
+reader_close(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    FileReader *r = (FileReader *)self;
+
+    if (reader_enter(r) < 0)
+        return NULL;
+    reader_finish(r);
+    r->busy = 0;
+    Py_RETURN_NONE;
+}
+
+static void
+reader_dealloc(PyObject *self)
+{
+    FileReader *r = (FileReader *)self;
+
+    reader_finish(r);
+    PyMem_Free(r->slots);
+    PyMem_Free(r->names);
+    Py_XDECREF(r->paths);
+    Py_XDECREF(r->encoded);
+    pthread_cond_destroy(&r->cond);
+    pthread_mutex_destroy(&r->lock);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyMethodDef reader_methods[] = {
+    {"close", reader_close, METH_NOARGS, "Stop reading; the iterator ends."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject FileReaderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "cricseg.kernels._native.FileReader",
+    .tp_basicsize = sizeof(FileReader),
+    .tp_dealloc = reader_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The bytes of files, in order, read ahead on a thread.",
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = reader_iternext,
+    .tp_methods = reader_methods,
+};
+
+PyDoc_STRVAR(read_files_doc,
+"read_files(paths, size_hint) -> iterator of bytes\n\n"
+"Each file's bytes, in order. size_hint is the size the first file is\n"
+"expected to have, or None to ask the file system; each later file is\n"
+"expected to be as large as the one before. From the first pull that\n"
+"knows a size, one thread reads files ahead: two, or as many more as fit\n"
+"in 512 KiB, up to 64. An error is raised when its file is pulled, and\n"
+"ends the iterator. close() stops and joins the thread.");
+
+static PyObject *
+read_files(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *paths_obj, *hint_obj, *paths;
+    Py_ssize_t hint = -1;
+    FileReader *r;
+
+    if (!PyArg_ParseTuple(args, "OO:read_files", &paths_obj, &hint_obj))
+        return NULL;
+    if (hint_obj != Py_None) {
+        hint = PyLong_AsSsize_t(hint_obj);
+        if (hint < 0) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "size_hint must be None or >= 0");
+            return NULL;
+        }
+    }
+    if ((paths = PySequence_Tuple(paths_obj)) == NULL)
+        return NULL;
+    r = (FileReader *)FileReaderType.tp_alloc(&FileReaderType, 0);
+    if (r == NULL) {
+        Py_DECREF(paths);
+        return NULL;
+    }
+    if (pthread_mutex_init(&r->lock, NULL) != 0) {
+        Py_DECREF(paths);
+        Py_TYPE(r)->tp_free(r);
+        return PyErr_NoMemory();
+    }
+    if (pthread_cond_init(&r->cond, NULL) != 0) {
+        pthread_mutex_destroy(&r->lock);
+        Py_DECREF(paths);
+        Py_TYPE(r)->tp_free(r);
+        return PyErr_NoMemory();
+    }
+    r->paths = paths;
+    r->n = PyTuple_GET_SIZE(paths);
+    r->hint = hint;
+    if ((r->encoded = PyTuple_New(r->n)) == NULL
+        || (r->names = PyMem_Malloc((r->n + 1) * sizeof(*r->names))) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < r->n; i++) {
+        PyObject *name;
+        if (!PyUnicode_FSConverter(PyTuple_GET_ITEM(paths, i), &name))
+            goto fail;
+        PyTuple_SET_ITEM(r->encoded, i, name);
+        r->names[i] = PyBytes_AS_STRING(name);
+    }
+    return (PyObject *)r;
+fail:
+    r->n = 0;
+    Py_DECREF(r);
+    return NULL;
+}
+
+#endif /* HAVE_READER_THREAD */
 
 static PyMethodDef methods[] = {
     {"bg_update", bg_update, METH_VARARGS, bg_update_doc},
     {"band_abs_diff_mean", band_abs_diff_mean, METH_VARARGS, band_abs_diff_mean_doc},
     {"scan_annotations", scan_annotations, METH_VARARGS, scan_annotations_doc},
+#ifdef HAVE_READER_THREAD
+    {"read_files", read_files, METH_VARARGS, read_files_doc},
+#endif
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "Compiled per-pixel kernels and annotation line scanner.",
+    .m_doc = "Compiled per-pixel kernels, annotation line scanner and file reader.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -648,5 +1175,9 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
+#ifdef HAVE_READER_THREAD
+    if (PyType_Ready(&FileReaderType) < 0)
+        return NULL;
+#endif
     return PyModule_Create(&module_def);
 }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from math import inf
 
@@ -599,6 +600,27 @@ class TestNativeScanner:
         assert [(i, _fields(ann)) for i, ann in records.items()] == [
             (i, _fields(backend.by_index(i))) for i in range(script.n_frames)
         ]
+
+    @needs_native
+    def test_native_records_are_untracked(self, tmp_path, monkeypatch):
+        # Frozen records of str, float, int and tuples of these hold no
+        # cycle, so the scanner takes them out of the cyclic collector.
+        script = load_script(bundled_scripts()["delivery_plus_replay"])
+        backend = synthetic_backend(script)
+        path = tmp_path / "ann.jsonl"
+        dump_annotations([backend.by_index(i) for i in range(script.n_frames)], path)
+        loaded = {}
+        for impl in (NATIVE, FALLBACK):
+            monkeypatch.setattr(kernels, "ACTIVE", impl)
+            loaded[impl.name] = load_precomputed(path, frame_size=(script.width, script.height))
+        records = [loaded["native"].by_index(i) for i in range(script.n_frames)]
+        assert [_fields(ann) for ann in records] == [
+            _fields(loaded["fallback"].by_index(i)) for i in range(script.n_frames)
+        ]
+        assert sum(len(ann.detections) for ann in records) > 0
+        for ann in records:
+            objects = [ann, ann.detections, *ann.detections, *(d.box for d in ann.detections)]
+            assert not any(gc.is_tracked(obj) for obj in objects)
 
     @needs_native
     @pytest.mark.parametrize(

@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,30 @@ class TestSegment:
         )
         assert code == 2
         assert "frame 60" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_named_like_a_frame_is_located_error(self, tmp_path):
+        # A read from the FIFO would block for good, so the run goes in a
+        # child process with a timeout: a hang fails the test.
+        script = resolve_script("one_delivery")
+        backend = synthetic_backend(script)
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        write_pgm(next(frame_stream(script)).luma, frames_dir / "000000.pgm")
+        os.mkfifo(frames_dir / "000001.pgm")
+        ann_path = tmp_path / "ann.jsonl"
+        dump_annotations([backend.by_index(i) for i in range(2)], ann_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cricseg.cli", "segment", "--source", str(frames_dir),
+             "--backend", f"file:{ann_path}", "--fps", "50", "--out", str(tmp_path / "m.jsonl")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error [FrameSourceError]: {frames_dir / '000001.pgm'}: not a regular file\n"
+        )
 
     def test_file_backend_matches_synthetic(self, tmp_path):
         # Export the scenario as a PGM directory plus a JSONL annotation

@@ -7,12 +7,15 @@ import io
 import os
 import pickle
 import re
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cricseg import kernels
 from cricseg.frames import (
     BandSpec,
     CropSpec,
@@ -20,12 +23,18 @@ from cricseg.frames import (
     FrameSourceError,
     _image_dir_frames,
     _raw_pipe_frames,
-    _read_file,
     _read_pgm,
     crop_offsets,
     open_source,
     stream_from_arrays,
     write_pgm,
+)
+from cricseg.kernels import _fallback
+
+NATIVE_READ = getattr(kernels._native, "read_files", None)
+READERS = [_fallback.read_files] + ([NATIVE_READ] if NATIVE_READ is not None else [])
+needs_native_reader = pytest.mark.skipif(
+    NATIVE_READ is None, reason="the compiled reader is not built"
 )
 
 
@@ -217,9 +226,13 @@ class TestStreams:
         reads = []
         luma = np.zeros((2, 3), dtype=np.uint8)
         write_pgm(luma, tmp_path / "0.pgm")
-        monkeypatch.setattr(
-            "cricseg.frames._read_file", lambda *a: reads.append(a) or _read_file(*a)
-        )
+        # Both readers a directory may be read with: a file is read only
+        # after one of them is called.
+        for owner in (kernels.ACTIVE, _fallback):
+            monkeypatch.setattr(
+                owner, "read_files",
+                lambda *a, _read=owner.read_files: reads.append(a) or _read(*a),
+            )
 
         class Raw(io.BytesIO):
             def read(self, n=-1):
@@ -362,17 +375,43 @@ class TestStreams:
         assert str(err.value) == f"{tmp_path / first} and {tmp_path / second}: {words}"
 
     @pytest.mark.parametrize("name", ["0000.pgm", "0001.pgm"])
-    def test_directory_named_like_a_frame_keeps_its_error(self, tmp_path, name):
-        # The text open() gives, naming the entry, though the read that
-        # finds the directory names no file itself.
+    @pytest.mark.parametrize("kind", ["directory", "dangling symlink", "symlink to a file"])
+    def test_entry_that_is_not_a_regular_file_rejected_at_listing(self, tmp_path, name, kind):
+        # Whatever a symlink names decides; the FIFO case is in test_cli.py.
+        arr = np.arange(6, dtype=np.uint8).reshape(2, 3)
         for i in range(3):
-            write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
-        (tmp_path / name).unlink()
-        (tmp_path / name).mkdir()
-        with pytest.raises(IsADirectoryError) as err:
-            list(open_source(tmp_path, fps=25))
-        path = str(tmp_path / name)
-        assert str(err.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+            write_pgm(arr, tmp_path / f"{i:04d}.pgm")
+        path = tmp_path / name
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "dangling symlink":
+            path.symlink_to(tmp_path / "gone.pgm")
+        else:
+            write_pgm(arr, tmp_path / "elsewhere.pgm")
+            path.symlink_to(tmp_path / "elsewhere.pgm")
+        stream = open_source(tmp_path, fps=25)
+        if kind == "symlink to a file":
+            assert len(list(stream)) == 3
+            return
+        with pytest.raises(FrameSourceError) as err:
+            next(stream)
+        assert str(err.value) == f"{path}: not a regular file"
+
+    @pytest.mark.parametrize("cpus, reader", [({0}, "fallback"), ({0, 1}, "active")])
+    def test_one_cpu_reads_with_the_fallback(self, tmp_path, monkeypatch, cpus, reader):
+        # Reading ahead on the only CPU would only take turns with the
+        # pipeline, so a process pinned to one reads each file when pulled.
+        write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / "0.pgm")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls = []
+        for name, owner in (("active", kernels.ACTIVE), ("fallback", _fallback)):
+            monkeypatch.setattr(
+                owner, "read_files",
+                lambda *a, _read=owner.read_files, _name=name: calls.append(_name) or _read(*a),
+            )
+        assert len(list(open_source(tmp_path, fps=25))) == 1
+        assert calls[0] == reader
 
     def test_later_file_larger_than_size_hint(self, tmp_path):
         # The second file carries a comment 40 times the first file's
@@ -390,10 +429,15 @@ class TestStreams:
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 100])
     @pytest.mark.parametrize("hint", [None, 0, 1, 3, 7, 8, 9, 1000])
     def test_read_file_returns_every_byte_whatever_the_hint(self, tmp_path, size, hint):
-        path = tmp_path / "f"
-        data = bytes(range(size))
-        path.write_bytes(data)
-        assert _read_file(str(path), hint) == data
+        # The first file is read with the hint, the second with the size
+        # of the first.
+        datas = [bytes(range(size)), bytes(range(size + 3))[::-1]]
+        paths = []
+        for i, data in enumerate(datas):
+            paths.append(str(tmp_path / f"{i}"))
+            (tmp_path / f"{i}").write_bytes(data)
+        for read in READERS:
+            assert list(read(paths, hint)) == datas
 
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -485,3 +529,146 @@ class TestStreams:
             assert str(exc).startswith(f"{path}: ")
         else:
             assert luma.size > 0
+
+
+def _read_outcome(read, paths, size_hint):
+    """The bytes of each file read, then the error that stopped the
+    reader, if any, then what one more pull gives."""
+    out = []
+    files = read(paths, size_hint)
+    try:
+        for data in files:
+            out.append(data)
+    except OSError as exc:
+        out.append((type(exc), exc.errno, exc.strerror, exc.filename, str(exc)))
+    out.append(next(files, "exhausted"))
+    return out
+
+
+class TestReadFiles:
+    @needs_native_reader
+    @settings(max_examples=200, deadline=None)
+    @example(hint=4, first_hint=True, kinds=["hint+1", "3*hint", "hint", "hint-1", "0"])
+    @example(hint=4, first_hint=False, kinds=["hint", "hint", "deleted", "hint"])
+    @example(hint=4, first_hint=True, kinds=["hint", "directory", "hint"])
+    @given(
+        hint=st.integers(1, 40),
+        first_hint=st.booleans(),
+        kinds=st.lists(
+            st.sampled_from(["0", "hint-1", "hint", "hint+1", "3*hint", "deleted", "directory"]),
+            max_size=7,
+        ),
+    )
+    def test_native_reader_matches_fallback(self, tmp_path_factory, hint, first_hint, kinds):
+        # The same bytes, or the same OSError at the same file, when a
+        # listed file is deleted or replaced by a directory, and whether
+        # each file is smaller than, as large as or larger than the one
+        # before it.
+        directory = tmp_path_factory.mktemp("read")
+        sizes = {"0": 0, "hint-1": hint - 1, "hint": hint, "hint+1": hint + 1, "3*hint": 3 * hint}
+        paths = []
+        for i, kind in enumerate(kinds):
+            path = directory / f"{i:04d}.pgm"
+            if kind == "directory":
+                path.mkdir()
+            elif kind != "deleted":
+                path.write_bytes(bytes((i + k) % 256 for k in range(sizes[kind])))
+            paths.append(str(path))
+        size_hint = hint if first_hint else None
+        want = _read_outcome(_fallback.read_files, paths, size_hint)
+        assert _read_outcome(NATIVE_READ, paths, size_hint) == want
+
+    @pytest.mark.parametrize("name", ["0000.pgm", "0001.pgm"])
+    def test_directory_after_listing_keeps_the_open_error(self, tmp_path, name):
+        # The text open() gives, naming the entry, though the read that
+        # finds the directory names no file itself.
+        paths = []
+        for i in range(3):
+            paths.append(str(tmp_path / f"{i:04d}.pgm"))
+            write_pgm(np.zeros((2, 3), dtype=np.uint8), paths[-1])
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        path = str(tmp_path / name)
+        for read in READERS:
+            with pytest.raises(IsADirectoryError) as err:
+                list(read(paths, None))
+            assert str(err.value) == (
+                f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+            )
+
+    @needs_native_reader
+    def test_readers_on_many_threads_keep_every_byte(self, tmp_path):
+        # More readers than CPUs, pulled from Python threads that switch
+        # as often as they can, over files whose sizes keep changing.
+        paths, datas = [], []
+        for i in range(60):
+            datas.append(bytes((i + k) % 251 for k in range((i * 37) % 300)))
+            paths.append(str(tmp_path / f"{i}"))
+            (tmp_path / f"{i}").write_bytes(datas[-1])
+        got = {}
+
+        def pull(n):
+            for _ in range(5):
+                assert list(NATIVE_READ(paths[n:], None)) == datas[n:]
+            got[n] = True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pull, args=(n,)) for n in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(got) == list(range(6))
+
+
+def _threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_native_reader
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in Linux's /proc")
+class TestReaderThread:
+    @pytest.mark.parametrize("end", ["closed", "exhausted", "bad header", "file deleted"])
+    def test_stream_leaves_no_thread(self, tmp_path, monkeypatch, end):
+        monkeypatch.setattr(kernels, "ACTIVE", kernels._Impl("native", kernels._native))
+        monkeypatch.setattr("cricseg.frames._cpus", lambda: 2)
+        # 640x360 frames, of which the reader reads two ahead, so that its
+        # thread is still running after the first pull.
+        for i in range(8):
+            write_pgm(np.full((360, 640), i, dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
+        if end == "bad header":
+            (tmp_path / "0005.pgm").write_bytes(b"P6\n640 360\n255\n" + bytes(360 * 640))
+        before = _threads()
+        stream = open_source(tmp_path, fps=25)
+        assert next(stream).index == 0
+        assert _threads() == before + 1
+        if end == "closed":
+            stream.close()
+        elif end == "exhausted":
+            assert [frame.luma[0, 0] for frame in stream] == list(range(1, 8))
+        elif end == "bad header":
+            with pytest.raises(FrameSourceError, match="only binary"):
+                list(stream)
+        else:
+            # Not read yet: the reader is two files ahead of the pull.
+            (tmp_path / "0005.pgm").unlink()
+            with pytest.raises(FileNotFoundError):
+                list(stream)
+        assert _threads() == before
+
+    def test_freed_reader_joins_its_thread(self, tmp_path):
+        paths = []
+        for i in range(6):
+            paths.append(str(tmp_path / f"{i}"))
+            (tmp_path / f"{i}").write_bytes(bytes([i]) * 300_000)
+        before = _threads()
+        files = NATIVE_READ(paths, None)
+        assert next(files) == bytes(300_000)
+        assert _threads() == before + 1
+        del files
+        assert _threads() == before
