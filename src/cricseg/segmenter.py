@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from cricseg.backend import AnnotationError, Backend
 from cricseg.frames import Frame, write_pgm
 from cricseg.gate import Debouncer, GateConfig, GateVerdict, apply_gate
 from cricseg.replay import ReplayConfig, UNDETERMINED, classify_liveness
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 
 class SegmentationError(Exception):
@@ -141,10 +145,17 @@ class ClipExport:
     """Writes clip frames as ``clip_NNNN/NNNNNN.pgm`` under a directory.
 
     ``segment()`` calls ``write`` with the frames of clip ``clip``
-    (numbered from 1 in emission order) in index order, each once, and
-    ``discard`` for the clip in progress when it will not be emitted; the
-    next clip then reuses its number. Discarding removes the clip's files
-    and its directory, unless that directory was there before.
+    (numbered from 1 in emission order) in index order, each once, then
+    ``flush`` before it emits the clip, or ``discard`` for the clip in
+    progress when it will not be emitted; the next clip then reuses its
+    number. Discarding removes the clip's files, a partly written one
+    included, and its directory, unless that directory was there before.
+
+    The first ``write`` after a flush starts a writer thread, and each
+    later ``write`` waits for the thread to finish the frame before it, so
+    that one frame at most is in flight. ``flush`` and ``discard`` wait
+    for that frame, stop the thread, and raise the error of a write that
+    failed; so does the next ``write``.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -153,6 +164,8 @@ class ClipExport:
         self._clip = 0
         self._written: list[Path] = []
         self._made_dir: Path | None = None
+        self._pool: ThreadPoolExecutor | None = None
+        self._pending: Future | None = None
 
     def write(self, clip: int, frame: Frame) -> None:
         clip_dir = self.directory / f"clip_{clip:04d}"
@@ -162,17 +175,45 @@ class ClipExport:
                 clip_dir.mkdir()
                 self._made_dir = clip_dir
         path = clip_dir / f"{frame.index:06d}.pgm"
-        write_pgm(frame.luma, path)
+        # Recorded before the write, so that a discard removes a partial file.
         self._written.append(path)
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()  # the frame before is written
+        if self._pool is None:
+            # Imported here, as runs that export nothing never need it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="cricseg-export")
+        self._pending = self._pool.submit(_write_taken, [(frame.luma, path)])
+
+    def flush(self) -> None:
+        """Wait until every frame handed to ``write`` is written, and stop
+        the writer thread; raises the error of a write that failed."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
 
     def discard(self, clip: int) -> None:
-        if clip != self._clip:
-            return
-        for path in self._written:
-            path.unlink(missing_ok=True)
-        if self._made_dir is not None:
-            self._made_dir.rmdir()
-        self._clip, self._written, self._made_dir = 0, [], None
+        try:
+            self.flush()
+        finally:
+            if clip == self._clip:
+                for path in self._written:
+                    path.unlink(missing_ok=True)
+                if self._made_dir is not None:
+                    self._made_dir.rmdir()
+                self._clip, self._written, self._made_dir = 0, [], None
+
+
+def _write_taken(job: list) -> None:
+    # Takes the pixels out of the job, so that they are freed before the
+    # write is reported done and the next frame is handed over.
+    luma, path = job.pop()
+    write_pgm(luma, path)
 
 
 @dataclass
@@ -210,8 +251,10 @@ def segment(
     clip in progress and surface with the frame index.
 
     With ``export``, a clip frame is written once it leaves the lookback
-    window of an open clip, and the rest when the clip closes; a clip that
-    is dropped or aborted is discarded from the export.
+    window of an open clip, and the rest when the clip closes; every file
+    of a clip is written before it is yielded. A clip that is dropped or
+    aborted is discarded from the export, and no writer thread outlives
+    the generator.
     """
     gate_cfg = gate_cfg or GateConfig()
     boundary_cfg = boundary_cfg or BoundaryConfig()
@@ -244,6 +287,7 @@ def segment(
             # Frames that already left the lookback window were written then.
             for idx in range(max(state.start, next(iter(recent))), end_index + 1):
                 export.write(emitted + 1, recent[idx][0])
+            export.flush()
         emitted += 1
         last_frame = recent[end_index][0]
         liveness = (
@@ -312,9 +356,13 @@ def segment(
             if clip is not None:
                 yield clip
     except BaseException:
-        # An aborted clip is never emitted, so nothing of it stays exported.
-        if export is not None and open_clip is not None:
-            export.discard(emitted + 1)
+        # An aborted clip is never emitted, so nothing of it stays exported;
+        # this also stops the writer thread. Clip emitted + 1 is the one in
+        # progress, closing or not, and has no files when none was open.
+        # The error in flight is the one to report, not a cleanup failure.
+        if export is not None:
+            with suppress(Exception):
+                export.discard(emitted + 1)
         raise
 
 

@@ -7,9 +7,12 @@ for the pitch geometry, and hand-rolled counting for gate set algebra.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import random
 
+from cricseg import segmenter
 from cricseg.backend import Detection, FrameAnnotations
 from cricseg.geometry import PitchSpec, RowCalibration
 from cricseg.scenario import (
@@ -200,3 +203,22 @@ def random_cut_script(
         spec.append((kind, rng.randint(min_len, max_len)))
         kind = FRONT_VIEW if kind == OTHER_VIEW else OTHER_VIEW
     return script_from_lengths(spec, width=width, height=height)
+
+
+def failing_write(monkeypatch, nth, partial=False):
+    """Makes the ``nth`` PGM write of the export fail with ENOSPC, after
+    writing a few bytes of its file when ``partial``; returns the list of
+    paths handed to the writes."""
+    paths = []
+    write_pgm = segmenter.write_pgm
+
+    def write(luma, path):
+        paths.append(path)
+        if len(paths) == nth:
+            if partial:
+                path.write_bytes(b"P5\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        write_pgm(luma, path)
+
+    monkeypatch.setattr(segmenter, "write_pgm", write)
+    return paths

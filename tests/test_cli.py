@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -33,6 +34,8 @@ from cricseg.scenario import (
 )
 from cricseg.segmenter import BoundaryConfig
 from cricseg.tracker import TrackerConfig
+
+from _support import failing_write
 
 
 def read_jsonl(path):
@@ -173,7 +176,8 @@ class TestSegment:
                     frame = next(frames)
                 except StopIteration:
                     return
-                refs.append(weakref.ref(frame))
+                # The pixels, which the export's writer holds without the frame.
+                refs.append(weakref.ref(frame.luma))
                 yield frame
 
         monkeypatch.setattr(cli, "frame_stream", watched)
@@ -189,14 +193,27 @@ class TestSegment:
         )
         assert code == 0
         assert len(alive) == 261
-        # The lookback window (debounce_k + 2, default k = 3) and an open
-        # clip's first frame.
-        assert max(alive) <= 3 + 3
+        # The lookback window (debounce_k + 2, default k = 3), an open
+        # clip's first frame, and the frame that last left the window,
+        # which the export's writer thread holds while it writes it.
+        assert max(alive) <= 3 + 3 + 1
         rows = read_jsonl(tmp_path / "m.jsonl")
         assert len(rows) == 2
         for n, row in enumerate(rows, start=1):
             names = sorted(p.name for p in (export / f"clip_{n:04d}").iterdir())
             assert names == [f"{i:06d}.pgm" for i in range(row["start"], row["end"] + 1)]
+
+    def test_failed_export_write_exits_2_with_its_error(self, tmp_path, monkeypatch, capsys):
+        paths = failing_write(monkeypatch, 10, partial=True)
+        out, export = tmp_path / "m.jsonl", tmp_path / "clips"
+        argv = ["segment", "--scenario", "one_delivery", "--backend", "synthetic",
+                "--out", str(out), "--export-frames", str(export)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error [OSError]: [Errno {errno.ENOSPC}]" in err
+        assert repr(str(paths[9])) in err
+        assert not out.exists()
+        assert list(export.iterdir()) == []
 
     def test_non_finite_box_is_located_runtime_error(self, raw_run, capsys):
         ann = raw_run.tmp / "nan.jsonl"

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import _thread
+import errno
 import random
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from cricseg import segmenter
 from cricseg.backend import AnnotationError, FrameAnnotations, MappingBackend
 from cricseg.frames import Frame, _read_pgm
 from cricseg.gate import GateConfig
@@ -29,7 +36,7 @@ from cricseg.scenario import (
     synthetic_backend,
 )
 
-from _support import random_cut_script
+from _support import failing_write, random_cut_script
 
 CFG = BoundaryConfig()
 SMALL = dict(width=160, height=90)
@@ -232,6 +239,9 @@ class RecordingExport:
         assert not written or frame.index > written[-1]
         written.append(frame.index)
 
+    def flush(self):
+        pass
+
     def discard(self, clip):
         self.clips.pop(clip, None)
 
@@ -298,6 +308,143 @@ class TestExport:
             list(segment(frame_stream(script), MappingBackend(broken), script.fps, export=export))
         assert export.handed
         assert exported(export.directory) == {}
+
+    def test_write_failing_at_close_removes_the_clip(self, tmp_path, monkeypatch):
+        # Clip frames 50-149 leave the five-frame lookback window one by
+        # one, up to frame 144; the 98th write is frame 147, at the close.
+        script = script_from_lengths(
+            [(OTHER_VIEW, 50), (FRONT_VIEW, 100), (OTHER_VIEW, 50)], **SMALL
+        )
+        paths = failing_write(monkeypatch, 98)
+        export = ClipExport(tmp_path / "export")
+        with pytest.raises(OSError) as err:
+            run_script(script, export=export)
+        assert err.value.errno == errno.ENOSPC
+        assert paths[97].name == "000147.pgm"
+        assert exported(export.directory) == {}
+
+    def test_failed_write_keeps_its_error_and_loses_its_partial_file(
+        self, tmp_path, monkeypatch
+    ):
+        script = script_from_lengths(
+            [(OTHER_VIEW, 50), (FRONT_VIEW, 100), (OTHER_VIEW, 50)], **SMALL
+        )
+        paths = failing_write(monkeypatch, 10, partial=True)
+        export = ClipExport(tmp_path / "export")
+        with pytest.raises(OSError) as err:
+            run_script(script, export=export)
+        assert (err.value.errno, err.value.filename) == (errno.ENOSPC, str(paths[9]))
+        assert exported(export.directory) == {}
+
+    @pytest.mark.parametrize("end", ["returns", "raises", "closed"])
+    def test_no_writer_thread_outlives_segment(self, tmp_path, monkeypatch, end):
+        script = script_from_lengths(
+            [(OTHER_VIEW, 50), (FRONT_VIEW, 60), (OTHER_VIEW, 50), (FRONT_VIEW, 60)],
+            **SMALL,
+        )
+        backend = synthetic_backend(script)
+        # Frame 90, in the first clip, has no record when the run is to raise.
+        records = {
+            i: backend.by_index(i) for i in range(script.n_frames) if end != "raises" or i != 90
+        }
+        before = threading.active_count()
+        during, writers = [], set()
+        write_pgm = segmenter.write_pgm
+
+        def counting(luma, path):
+            during.append(threading.active_count())
+            writers.add(threading.get_ident())
+            write_pgm(luma, path)
+
+        monkeypatch.setattr(segmenter, "write_pgm", counting)
+        export = ClipExport(tmp_path / "export")
+        clips = segment(frame_stream(script), MappingBackend(records), script.fps, export=export)
+        if end == "returns":
+            assert len(list(clips)) == 2
+        elif end == "raises":
+            with pytest.raises(SegmentationError):
+                list(clips)
+        else:
+            # A clip is yielded only once its files are written, so this
+            # checks that a yield leaves no writer running.
+            next(clips)
+            clips.close()
+        # Every write runs on the one extra thread.
+        assert during
+        assert max(during) == before + 1
+        assert threading.get_ident() not in writers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("nth", [10, 98], ids=["mid_clip", "at_close"])
+    def test_interrupt_while_waiting_for_the_writer_does_not_hang(
+        self, tmp_path, monkeypatch, nth
+    ):
+        # The nth write lets the pipeline thread start waiting for it, then
+        # interrupts that thread, which sees the interrupt once the wait ends.
+        script = script_from_lengths(
+            [(OTHER_VIEW, 50), (FRONT_VIEW, 100), (OTHER_VIEW, 50)], **SMALL
+        )
+        before = threading.active_count()
+        calls = []
+        write_pgm = segmenter.write_pgm
+
+        def interrupting(luma, path):
+            calls.append(path)
+            if len(calls) == nth:
+                time.sleep(0.05)
+                _thread.interrupt_main()
+            write_pgm(luma, path)
+
+        class Hung(BaseException):
+            pass  # not an Exception, so no cleanup swallows it
+
+        def hung(signum, frame):
+            raise Hung("segment() still waits 30 s after the interrupt")
+
+        monkeypatch.setattr(segmenter, "write_pgm", interrupting)
+        export = ClipExport(tmp_path / "export")
+        # A real signal ends a wait that would otherwise last forever.
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_script(script, export=export)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert threading.active_count() == before
+        assert exported(export.directory) == {}
+
+    def test_writer_threads_under_fast_switching_keep_every_frame(self, tmp_path):
+        rng = random.Random(11)
+        scripts = [random_cut_script(rng, n_segments=6, width=64, height=36) for _ in range(3)]
+        results = [None] * len(scripts)
+
+        def run(n):
+            export = ClipExport(tmp_path / f"export_{n}")
+            results[n] = (export, run_script(scripts[n], export=export))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(n,)) for n in range(len(scripts))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for script, (export, clips) in zip(scripts, results):
+            assert exported(export.directory) == {
+                f"clip_{n:04d}": list(range(c.start, c.end + 1))
+                for n, c in enumerate(clips, start=1)
+            }
+            frames = list(frame_stream(script))
+            for n, c in enumerate(clips, start=1):
+                for idx in range(c.start, c.end + 1):
+                    path = export.directory / f"clip_{n:04d}" / f"{idx:06d}.pgm"
+                    np.testing.assert_array_equal(_read_pgm(path), frames[idx].luma)
 
     def test_writes_match_emitted_clips_under_gate_flicker(self):
         rng = random.Random(5)
