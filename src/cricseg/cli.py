@@ -147,7 +147,7 @@ def _open_frames(cfg: PipelineConfig, script: ScenarioScript | None):
         with open(cfg.source, "rb") as fh:
             yield open_source(fh, cfg.fps, cfg.width, cfg.height), cfg.fps
     else:
-        yield open_source(Path(cfg.source), cfg.fps), cfg.fps
+        yield open_source(Path(cfg.source), cfg.fps, cfg.width, cfg.height), cfg.fps
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
@@ -272,6 +272,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
             trajectory = trajectory_from_obj(obj)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not valid UTF-8") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         clip_id = obj.get("clip", path.stem)

@@ -8,7 +8,7 @@ read is a configuration error, so a typo cannot pass unnoticed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf, isfinite
 from pathlib import Path
 
@@ -43,13 +43,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _take(values: dict[str, str], key: str, cast, default):
-    """Remove ``key`` from ``values`` and return it cast, or ``default``.
+def _take(values: dict[str, str], key: str, cast):
+    """Remove ``key`` from ``values`` and return it cast.
 
     A float must be finite: ``float()`` also reads ``nan`` and ``inf``.
     """
-    if key not in values:
-        return default
     raw = values.pop(key)
     try:
         value = cast(raw)
@@ -94,17 +92,24 @@ class PipelineConfig:
                 raise ConfigError(f"source.{name} must be positive")
 
 
-def _section(cls, values: dict[str, str], fields: dict[str, tuple], **fixed):
-    """``cls`` built from config values; ``fields`` maps each of its field
-    names to (config key, cast, default). A range error from ``cls`` names
-    the config keys the user writes, not the field names."""
-    kwargs = {name: _take(values, key, cast, default)
-              for name, (key, cast, default) in fields.items()}
+# What a field's annotation (a string, as annotations are not evaluated)
+# casts its config value with.
+_CASTS = {"float": float, "int": int, "str": str, "int | None": int, "str | None": str}
+
+
+def _section(cls, values: dict[str, str], keys: dict[str, str], **fixed):
+    """``cls`` built from config values; ``keys`` maps each of its field
+    names to its config key. A value given is cast to its field's type; a
+    field whose key is not given keeps its default. A range error from
+    ``cls`` names the config keys the user writes, not the field names."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {name: _take(values, key, _CASTS[types[name]])
+              for name, key in keys.items() if key in values}
     try:
         return cls(**kwargs, **fixed)
     except ValueError as exc:
         message = str(exc)
-        for name, (key, _, _) in fields.items():
+        for name, key in keys.items():
             message = re.sub(rf"\b{name}\b", key, message)
         raise ConfigError(message) from exc
 
@@ -113,50 +118,38 @@ def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
     """Assemble the typed config from flat key-value pairs."""
     values = dict(values)
     gate = _section(GateConfig, values, {
-        "classifier_threshold": ("gate.thresholds.classifier", float, 0.5),
-        "umpire_conf_min": ("gate.thresholds.umpire", float, 0.25),
-        "pitch_conf_min": ("gate.thresholds.pitch", float, 0.25),
-        "dual_mode": ("gate.dual_mode", str, "union"),
-        "debounce_k": ("gate.debounce_k", int, 3),
+        "classifier_threshold": "gate.thresholds.classifier",
+        "umpire_conf_min": "gate.thresholds.umpire",
+        "pitch_conf_min": "gate.thresholds.pitch",
+        "dual_mode": "gate.dual_mode",
+        "debounce_k": "gate.debounce_k",
     })
     boundary = _section(BoundaryConfig, values, {
-        "foreground_threshold": ("boundary.foreground_threshold", float, 0.6),
-        "pixel_diff_threshold": ("boundary.pixel_diff_threshold", float, 25.0),
-        "learning_rate": ("boundary.learning_rate", float, 0.05),
-        "init_frames": ("boundary.init_frames", int, 30),
-        "min_clip_frames": ("boundary.min_clip_frames", int, 25),
+        name: f"boundary.{name}"
+        for name in ("foreground_threshold", "pixel_diff_threshold", "learning_rate",
+                     "init_frames", "min_clip_frames")
     })
-    band = _section(BandSpec, values, {"band_fraction": ("replay.band_fraction", float, 0.15)})
-    replay = _section(ReplayConfig, values, {
-        "mean_abs_diff_threshold": ("replay.threshold", float, 8.0),
-    }, band=band)
+    band = _section(BandSpec, values, {"band_fraction": "replay.band_fraction"})
+    replay = _section(ReplayConfig, values, {"mean_abs_diff_threshold": "replay.threshold"},
+                      band=band)
     tracker = _section(TrackerConfig, values, {
-        "max_jump_px": ("tracker.max_jump_px", float, 120.0),
-        "max_gap_frames": ("tracker.max_gap_frames", int, 3),
+        name: f"tracker.{name}" for name in ("max_jump_px", "max_gap_frames")
     })
     pitch = _section(PitchSpec, values, {
-        "full_max_m": ("pitch.full_max_m", float, 6.0),
-        "good_max_m": ("pitch.good_max_m", float, 8.0),
-        "tilt_deg": ("pitch.tilt_deg", float, 20.0),
+        name: f"pitch.{name}" for name in ("full_max_m", "good_max_m", "tilt_deg")
     })
     crop = _section(CropSpec, values, {
-        side: (f"crop.{side}", float, 0.0) for side in ("top", "bottom", "left", "right")
+        side: f"crop.{side}" for side in ("top", "bottom", "left", "right")
     })
-    cfg = PipelineConfig(
-        source=_take(values, "source.path", str, None),
-        scenario=_take(values, "source.scenario", str, None),
-        backend=_take(values, "backend.kind", str, "synthetic"),
-        fps=_take(values, "source.fps", float, 50.0),
-        width=_take(values, "source.width", int, None),
-        height=_take(values, "source.height", int, None),
-        strategy=_take(values, "gate.strategy", str, "dual"),
-        gate=gate,
-        boundary=boundary,
-        replay=replay,
-        tracker=tracker,
-        pitch=pitch,
-        crop=crop,
-    )
+    cfg = _section(PipelineConfig, values, {
+        "source": "source.path",
+        "scenario": "source.scenario",
+        "backend": "backend.kind",
+        "fps": "source.fps",
+        "width": "source.width",
+        "height": "source.height",
+        "strategy": "gate.strategy",
+    }, gate=gate, boundary=boundary, replay=replay, tracker=tracker, pitch=pitch, crop=crop)
     if values:
         raise ConfigError(f"unknown config key: {', '.join(sorted(values))}")
     return cfg

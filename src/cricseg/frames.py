@@ -21,7 +21,6 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from cricseg import kernels
-from cricseg.kernels import _fallback
 
 
 _UINT8 = np.dtype(np.uint8)
@@ -150,11 +149,13 @@ def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> Iterator[Fra
     return gen()
 
 
-def _same_shape(i: int, shape: tuple, first: tuple | None) -> tuple:
-    """Frame ``i``'s ``shape``, which must equal ``first``, the stream's
-    first frame shape, unless frame ``i`` is the first (``first`` None)."""
-    if first is not None and shape != first:
-        raise FrameSourceError(f"frame {i} dimensions {shape} differ from {first}")
+def _same_shape(i: int, shape: tuple, expected: tuple | None, path: str | None = None) -> tuple:
+    """Frame ``i``'s ``shape``, which must equal ``expected``: the declared
+    shape, or else the stream's first frame shape, None while frame ``i``
+    is that first frame. ``path`` names frame ``i``'s file in the error."""
+    if expected is not None and shape != expected:
+        where = f"frame {i}" if path is None else f"{path}: frame {i}"
+        raise FrameSourceError(f"{where} dimensions {shape} differ from {expected}")
     return shape
 
 
@@ -211,7 +212,7 @@ def _pgm_pixels(path: str | Path, data: bytes, width: int, height: int, pos: int
 
 def _read_pgm(path: str | Path) -> np.ndarray:
     """The luma plane of one PGM file, read and parsed on its own."""
-    data = _fallback.read_file(path)
+    data = next(kernels.ACTIVE.read_files([path]))
     return _pgm_pixels(path, data, *_pgm_header(path, data))
 
 
@@ -226,7 +227,9 @@ def _read_png(path: str) -> np.ndarray:
         return np.asarray(img.convert("L"), dtype=np.uint8)
 
 
-def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
+def _image_dir_frames(directory: Path, fps: float, shape: tuple | None = None) -> Iterator[Frame]:
+    # ``shape`` is the declared (height, width) that every frame must
+    # have; None lets the first frame set it.
     # Paths stay str, spelt as ``directory / name`` would print ("." adds
     # no prefix), since they name the file in errors.
     prefix = "" if str(directory) == "." else os.path.join(directory, "")
@@ -251,21 +254,17 @@ def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
             raise FrameSourceError(
                 f"{prev_path} and {path}: frame numbers skip from {prev} to {num}"
             )
-    # The compiled reader reads files ahead on a second thread, which pays
-    # only where a second CPU can run it.
-    read_files = kernels.ACTIVE.read_files if _cpus() > 1 else _fallback.read_files
-    files = read_files([path for _, path, ext in entries if ext == "pgm"], None)
+    files = kernels.ACTIVE.read_files([path for _, path, ext in entries if ext == "pgm"])
     # A file that starts with the previous PGM header's exact bytes reuses
     # its parse, and so its shape: a token runs to the next whitespace
     # byte, and whitespace and comments match only one way, so the regex
     # would match those bytes alike and stop at the same place.
     head = None
-    shape = None
     try:
         for i, (_, path, ext) in enumerate(entries):
             if ext == "png":
                 luma = _read_png(path)
-                shape = _same_shape(i, luma.shape, shape)
+                shape = _same_shape(i, luma.shape, shape, path)
                 yield Frame(i, i * 1000.0 / fps, luma)
                 continue
             data = next(files)
@@ -275,7 +274,7 @@ def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
                 width, height, pos = _pgm_header(path, data)
                 head = data[:pos]
                 luma = _pgm_pixels(path, data, width, height, pos)
-                shape = _same_shape(i, luma.shape, shape)
+                shape = _same_shape(i, luma.shape, shape, path)
             frame = _new(Frame)
             _set_index(frame, i)
             _set_timestamp_ms(frame, i * 1000.0 / fps)
@@ -283,14 +282,6 @@ def _image_dir_frames(directory: Path, fps: float) -> Iterator[Frame]:
             yield frame
     finally:
         files.close()
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarray]:
@@ -314,8 +305,9 @@ def open_source(
 ) -> Iterator[Frame]:
     """Open an image-sequence directory or a raw-luma byte stream.
 
-    Directories hold zero-padded numbered PGM/PNG files. A byte stream is
-    headerless 8-bit luma, so width and height must be given.
+    Directories hold zero-padded numbered PGM/PNG files; when width and
+    height are both given, their frames must have that size. A byte
+    stream is headerless 8-bit luma, so width and height must be given.
     """
     if hasattr(uri, "read"):
         if not width or not height:
@@ -324,5 +316,5 @@ def open_source(
     path = Path(uri)
     if path.is_dir():
         _check_fps(fps)
-        return _image_dir_frames(path, fps)
+        return _image_dir_frames(path, fps, (height, width) if width and height else None)
     raise FrameSourceError(f"{path}: not a readable frame directory")

@@ -90,14 +90,6 @@ def gate_classifier(front_prob: float, cfg: GateConfig) -> GateVerdict:
     return _VERDICTS["classifier", cfg.dual_mode][mask]
 
 
-def gate_umpire(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    return apply_gate("umpire", annotations, cfg)
-
-
-def gate_pitch(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
-    return apply_gate("pitch", annotations, cfg)
-
-
 def gate_either(annotations: FrameAnnotations, cfg: GateConfig) -> GateVerdict:
     return apply_gate("either", annotations, cfg)
 

@@ -21,17 +21,17 @@ expose the same four functions:
   returns where it stopped and how many lines it consumed; that code then
   loads the line, or words its error, and scanning resumes after it. The
   fallback declines every line.
-- ``read_files(paths, size_hint) -> iterator of bytes`` yields each file's
-  bytes in order; ``size_hint`` is the first file's expected size (None
-  asks the file system), and each later file is expected to be as large
-  as the one before. The fallback reads each file when it is pulled. The
-  compiled reader starts one thread at the first pull, which reads files
-  ahead without the GIL: two, or as many more as fit in 512 KiB, up to
-  64. A pull whose file the thread has not started on reads it itself.
-  It raises the same ``OSError`` at the same file, and stops and joins
-  its thread when it is exhausted, raises, is closed or is freed. An
-  extension built without ``<pthread.h>`` has no reader of its own and
-  uses the fallback's.
+- ``read_files(paths) -> iterator of bytes`` yields each file's bytes in
+  order. The first file's size is asked of the file system, and each
+  later file is expected to be as large as the one before. The fallback
+  reads each file when it is pulled. The compiled reader reads the first
+  file on the pulling thread, then, if more files follow, starts one
+  thread, which reads files ahead without the GIL: two, or as many more
+  as fit in 512 KiB, up to 64. A pull whose file the thread has not
+  started on reads it itself. It raises the same ``OSError`` at the same
+  file, and stops and joins its thread when it is exhausted, raises, is
+  closed or is freed. An extension built without ``<pthread.h>`` has no
+  reader of its own and uses the fallback's.
 
 Both implementations give bit-identical means, equal counts and equal
 records, which the test suite enforces. The compiled ``bg_update`` and
@@ -76,9 +76,8 @@ class _Impl:
             block, pos, records, frame_w, frame_h, detection, annotations
         )
 
-    def read_files(self, paths, size_hint):
-        read = getattr(self._mod, "read_files", _fallback.read_files)
-        return read(paths, size_hint)
+    def read_files(self, paths):
+        return getattr(self._mod, "read_files", _fallback.read_files)(paths)
 
 
 ACTIVE = _Impl(ACTIVE_IMPL, _native if NATIVE_AVAILABLE else _fallback)

@@ -78,10 +78,11 @@ def read_file(path: str | Path, size_hint: int | None = None) -> bytes:
     return b"".join(chunks)
 
 
-def read_files(paths: Iterable[str | Path], size_hint: int | None) -> Iterator[bytes]:
+def read_files(paths: Iterable[str | Path]) -> Iterator[bytes]:
     """Each file's bytes, in order, each read when it is pulled: the first
-    with ``size_hint`` as its expected size, each later one with the size
-    of the file before it."""
+    at the size the file system gives, each later one with the size of the
+    file before it as its expected size."""
+    size_hint = None
     for path in paths:
         data = read_file(path, size_hint)
         size_hint = len(data)

@@ -19,7 +19,7 @@
  * line has passed every check, and leaves any line it cannot prove it
  * loads as the Python loader would to that loader.
  *
- * read_files reads frame files ahead on one pthread of its own. That
+ * read_files(paths) reads frame files ahead on one pthread of its own. That
  * thread never takes the GIL and touches no Python object: it reads the
  * C strings of the paths, and writes into the buffers of bytes objects
  * that the main thread allocated. Which thread may touch a buffer is
@@ -667,12 +667,13 @@ done:
 
 /* ---- Frame files ----------------------------------------------------------
  *
- * read_files(paths, size_hint) yields each file's bytes in order, as
- * _fallback.read_files does. From the first pull that knows a size to go
- * by, one thread reads ahead of the pulls, each file into a bytes object
- * of hint + 1 bytes that the main thread allocated, hint being the size
- * of the last file yielded. It reads as many files ahead as fit in
- * AHEAD_BYTES, but never fewer than 2 or more than AHEAD_MAX.
+ * read_files(paths) yields each file's bytes in order, as
+ * _fallback.read_files does. The first pull reads its file here, at the
+ * size fstat gives. From then on one thread reads ahead of the pulls, each
+ * file into a bytes object of hint + 1 bytes that the main thread
+ * allocated, hint being the size of the last file yielded. It reads as
+ * many files ahead as fit in AHEAD_BYTES, but never fewer than 2 or more
+ * than AHEAD_MAX.
  *
  * The two threads claim files in order. A pull takes its file when the
  * thread has read it, waits, with the GIL released, only while the thread
@@ -995,11 +996,6 @@ reader_next(FileReader *r)
 
     if (r->next >= r->n)
         return NULL;
-    /* Without a size to go by, the first file is read here. */
-    if (!r->running && r->hint >= 0 && reader_ahead(r) < 0) {
-        reader_finish(r);
-        return NULL;
-    }
     data = r->running ? reader_take(r) : read_whole(r, r->next, r->hint);
     r->next++;
     if (data == NULL || r->next == r->n) {
@@ -1086,31 +1082,20 @@ static PyTypeObject FileReaderType = {
 };
 
 PyDoc_STRVAR(read_files_doc,
-"read_files(paths, size_hint) -> iterator of bytes\n\n"
-"Each file's bytes, in order. size_hint is the size the first file is\n"
-"expected to have, or None to ask the file system; each later file is\n"
-"expected to be as large as the one before. From the first pull that\n"
-"knows a size, one thread reads files ahead: two, or as many more as fit\n"
-"in 512 KiB, up to 64. An error is raised when its file is pulled, and\n"
-"ends the iterator. close() stops and joins the thread.");
+"read_files(paths) -> iterator of bytes\n\n"
+"Each file's bytes, in order. The first file is read when it is pulled,\n"
+"at the size the file system gives; each later file is expected to be as\n"
+"large as the one before. After the first pull, one thread reads files\n"
+"ahead: two, or as many more as fit in 512 KiB, up to 64. An error is\n"
+"raised when its file is pulled, and ends the iterator. close() stops\n"
+"and joins the thread.");
 
 static PyObject *
-read_files(PyObject *Py_UNUSED(module), PyObject *args)
+read_files(PyObject *Py_UNUSED(module), PyObject *paths_obj)
 {
-    PyObject *paths_obj, *hint_obj, *paths;
-    Py_ssize_t hint = -1;
+    PyObject *paths;
     FileReader *r;
 
-    if (!PyArg_ParseTuple(args, "OO:read_files", &paths_obj, &hint_obj))
-        return NULL;
-    if (hint_obj != Py_None) {
-        hint = PyLong_AsSsize_t(hint_obj);
-        if (hint < 0) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "size_hint must be None or >= 0");
-            return NULL;
-        }
-    }
     if ((paths = PySequence_Tuple(paths_obj)) == NULL)
         return NULL;
     r = (FileReader *)FileReaderType.tp_alloc(&FileReaderType, 0);
@@ -1131,7 +1116,7 @@ read_files(PyObject *Py_UNUSED(module), PyObject *args)
     }
     r->paths = paths;
     r->n = PyTuple_GET_SIZE(paths);
-    r->hint = hint;
+    r->hint = -1;
     if ((r->encoded = PyTuple_New(r->n)) == NULL
         || (r->names = PyMem_Malloc((r->n + 1) * sizeof(*r->names))) == NULL) {
         if (!PyErr_Occurred())
@@ -1159,7 +1144,7 @@ static PyMethodDef methods[] = {
     {"band_abs_diff_mean", band_abs_diff_mean, METH_VARARGS, band_abs_diff_mean_doc},
     {"scan_annotations", scan_annotations, METH_VARARGS, scan_annotations_doc},
 #ifdef HAVE_READER_THREAD
-    {"read_files", read_files, METH_VARARGS, read_files_doc},
+    {"read_files", read_files, METH_O, read_files_doc},
 #endif
     {NULL, NULL, 0, NULL},
 };

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from hypothesis import given, strategies as st
 from cricseg import cli
 from cricseg.backend import MappingBackend, dump_annotations
 from cricseg.cli import main
-from cricseg.config import ConfigError, PipelineConfig
+from cricseg.config import ConfigError, PipelineConfig, build_pipeline_config
 from cricseg.frames import write_pgm
 from cricseg.replay import ReplayConfig
 from cricseg.scenario import (
@@ -256,6 +257,23 @@ class TestSegment:
         err = capsys.readouterr().err
         assert f"{frames / '000001.pgm'} and {frames / '000003.pgm'}" in err
         assert "Traceback" not in err
+
+    def test_frames_of_another_size_than_declared_is_located_runtime_error(self, raw_run, capsys):
+        # The annotations are checked against the declared size, and crops
+        # and the tracker scale by it, so frames must have that size.
+        frames = raw_run.tmp / "pgm"
+        frames.mkdir()
+        for i in range(3):
+            write_pgm(np.zeros((90, 160), dtype=np.uint8), frames / f"{i:06d}.pgm")
+        common = ["--source", str(frames), *raw_run.common[2:6], "--width", "1600",
+                  "--height", "900"]
+        out = raw_run.tmp / "size_m.jsonl"
+        assert main(["segment", *common, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"{frames / '000000.pgm'}: frame 0 dimensions (90, 160) differ from (900, 1600)"
+        ) in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize(
         "box, conf, error",
@@ -703,6 +721,31 @@ class TestConfigFile:
         rows = read_jsonl(out)
         assert [(r["start"], r["end"]) for r in rows] == [(50, 149)]
 
+    def test_readme_keys_are_accepted_with_their_defaults(self):
+        # Each key of README's Configuration block, set to the default
+        # given there in parentheses, leaves build_pipeline_config({})'s
+        # value as it is; a key without one is accepted with a value.
+        # "crop.top/.bottom" names two keys.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Configuration", 1)[1].split("```\n")[1]
+        defaults = {}
+        for line in block.splitlines():
+            found = list(re.finditer(r"([a-z]+)\.[a-z_.]+((?:/\.[a-z_]+)*)", line))
+            for m, after in zip(found, found[1:] + [None]):
+                between = line[m.end() : after.start() if after else len(line)]
+                default = re.search(r"\(([^ )]+)", between)
+                for key in [m.group(0).split("/")[0]] + [
+                    m.group(1) + more for more in m.group(2).split("/")[1:]
+                ]:
+                    defaults[key] = default.group(1) if default else None
+        assert len(defaults) == 28
+        base = build_pipeline_config({})
+        for key, default in defaults.items():
+            if default is None:
+                build_pipeline_config({key: "1"})
+            else:
+                assert build_pipeline_config({key: default}) == base, key
+
     @pytest.mark.parametrize("key", ["gate.stratgy", "run.threads"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
@@ -841,15 +884,18 @@ class TestConfigFile:
         ("counts", ["eval", "--counts", "{bad}"], 2, "{bad}: "),
         ("predictions", ["eval", "--predictions", "{bad}", "--labels", "{good}"], 2, "{bad}:2: "),
         ("labels", ["eval", "--predictions", "{good}", "--labels", "{bad}"], 2, "{bad}:2: "),
+        ("trajectory", ["classify", "--scenario", "one_delivery", "--trajectories", "{tmp}",
+                        "--out", "{tmp}/r.jsonl"], 2, "{bad}: "),
     ],
-    ids=["config", "scenario", "counts", "predictions", "labels"],
+    ids=["config", "scenario", "counts", "predictions", "labels", "trajectory"],
 )
 def test_file_not_utf8_is_located_error(tmp_path, capsys, reader, argv, code, where):
     # Line 1 is valid in every reader's format; line 2 holds a byte that
     # no UTF-8 text has.
     first = {"config": b"gate.strategy = dual", "scenario": b'{"segments": [',
-             "counts": b'{"tp": 1,'}.get(reader, b"1")
-    bad = tmp_path / "bad.txt"
+             "counts": b'{"tp": 1,', "trajectory": b'{"points": ['}.get(reader, b"1")
+    # classify reads the clip_*.json files of the directory it is given.
+    bad = tmp_path / ("clip_0001.json" if reader == "trajectory" else "bad.txt")
     bad.write_bytes(first + b"\n\xff\n")
     (tmp_path / "good.txt").write_bytes(b"1\n0\n")
     names = {"bad": bad, "good": tmp_path / "good.txt", "tmp": tmp_path}

@@ -226,13 +226,11 @@ class TestStreams:
         reads = []
         luma = np.zeros((2, 3), dtype=np.uint8)
         write_pgm(luma, tmp_path / "0.pgm")
-        # Both readers a directory may be read with: a file is read only
-        # after one of them is called.
-        for owner in (kernels.ACTIVE, _fallback):
-            monkeypatch.setattr(
-                owner, "read_files",
-                lambda *a, _read=owner.read_files: reads.append(a) or _read(*a),
-            )
+        # A directory's files are read only after its reader is called.
+        monkeypatch.setattr(
+            kernels.ACTIVE, "read_files",
+            lambda *a, _read=kernels.ACTIVE.read_files: reads.append(a) or _read(*a),
+        )
 
         class Raw(io.BytesIO):
             def read(self, n=-1):
@@ -262,6 +260,24 @@ class TestStreams:
         write_pgm(np.zeros((8, 13), dtype=np.uint8), tmp_path / "0001.pgm")
         with pytest.raises(FrameSourceError):
             list(open_source(tmp_path, fps=25))
+
+    @pytest.mark.parametrize(
+        "width, height, rejected",
+        [(12, 8, False), (8, 12, True), (13, 8, True), (None, 12, False), (13, None, False)],
+    )
+    def test_declared_size_checked_before_any_frame(self, tmp_path, width, height, rejected):
+        # The frames are 12x8. Only a size given whole is checked.
+        for i in range(2):
+            write_pgm(np.zeros((8, 12), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
+        stream = open_source(tmp_path, fps=25, width=width, height=height)
+        if not rejected:
+            assert len(list(stream)) == 2
+            return
+        with pytest.raises(FrameSourceError) as err:
+            next(stream)
+        assert str(err.value) == (
+            f"{tmp_path / '0000.pgm'}: frame 0 dimensions (8, 12) differ from ({height}, {width})"
+        )
 
     @pytest.mark.parametrize("fps", [25, 29.97, 50])
     def test_directory_frames_equal_checked_frames(self, tmp_path, fps):
@@ -307,7 +323,9 @@ class TestStreams:
         assert [next(stream).index for _ in range(2)] == [0, 1]
         with pytest.raises(FrameSourceError) as err:
             next(stream)
-        assert str(err.value) == "frame 2 dimensions (12, 8) differ from (8, 12)"
+        assert str(err.value) == (
+            f"{tmp_path / '0002.pgm'}: frame 2 dimensions (12, 8) differ from (8, 12)"
+        )
 
     def test_raw_pipe(self):
         frames = [np.full((4, 6), i, dtype=np.uint8) for i in range(3)]
@@ -398,21 +416,6 @@ class TestStreams:
             next(stream)
         assert str(err.value) == f"{path}: not a regular file"
 
-    @pytest.mark.parametrize("cpus, reader", [({0}, "fallback"), ({0, 1}, "active")])
-    def test_one_cpu_reads_with_the_fallback(self, tmp_path, monkeypatch, cpus, reader):
-        # Reading ahead on the only CPU would only take turns with the
-        # pipeline, so a process pinned to one reads each file when pulled.
-        write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / "0.pgm")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        calls = []
-        for name, owner in (("active", kernels.ACTIVE), ("fallback", _fallback)):
-            monkeypatch.setattr(
-                owner, "read_files",
-                lambda *a, _read=owner.read_files, _name=name: calls.append(_name) or _read(*a),
-            )
-        assert len(list(open_source(tmp_path, fps=25))) == 1
-        assert calls[0] == reader
-
     def test_later_file_larger_than_size_hint(self, tmp_path):
         # The second file carries a comment 40 times the first file's
         # size, so it takes several reads past the hint.
@@ -429,15 +432,16 @@ class TestStreams:
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 100])
     @pytest.mark.parametrize("hint", [None, 0, 1, 3, 7, 8, 9, 1000])
     def test_read_file_returns_every_byte_whatever_the_hint(self, tmp_path, size, hint):
-        # The first file is read with the hint, the second with the size
-        # of the first.
+        # Each file read alone with the hint, then both by each reader,
+        # which reads the second with the size of the first.
         datas = [bytes(range(size)), bytes(range(size + 3))[::-1]]
         paths = []
         for i, data in enumerate(datas):
             paths.append(str(tmp_path / f"{i}"))
             (tmp_path / f"{i}").write_bytes(data)
+            assert _fallback.read_file(paths[-1], hint) == data
         for read in READERS:
-            assert list(read(paths, hint)) == datas
+            assert list(read(paths)) == datas
 
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -515,7 +519,9 @@ class TestStreams:
             if isinstance(fresh[-1], str):
                 break
         if len(fresh) == 2 and not isinstance(fresh[1], str) and fresh[1][0] != fresh[0][0]:
-            fresh[1] = f"frame 1 dimensions {fresh[1][0]} differ from {fresh[0][0]}"
+            fresh[1] = (
+                f"{directory / '1.pgm'}: frame 1 dimensions {fresh[1][0]} differ from {fresh[0][0]}"
+            )
         assert _dir_outcomes(directory) == fresh
 
     @given(header=st.binary(max_size=24), pixels=st.integers(0, 40))
@@ -531,11 +537,11 @@ class TestStreams:
             assert luma.size > 0
 
 
-def _read_outcome(read, paths, size_hint):
+def _read_outcome(read, paths):
     """The bytes of each file read, then the error that stopped the
     reader, if any, then what one more pull gives."""
     out = []
-    files = read(paths, size_hint)
+    files = read(paths)
     try:
         for data in files:
             out.append(data)
@@ -548,18 +554,17 @@ def _read_outcome(read, paths, size_hint):
 class TestReadFiles:
     @needs_native_reader
     @settings(max_examples=200, deadline=None)
-    @example(hint=4, first_hint=True, kinds=["hint+1", "3*hint", "hint", "hint-1", "0"])
-    @example(hint=4, first_hint=False, kinds=["hint", "hint", "deleted", "hint"])
-    @example(hint=4, first_hint=True, kinds=["hint", "directory", "hint"])
+    @example(hint=4, kinds=["hint+1", "3*hint", "hint", "hint-1", "0"])
+    @example(hint=4, kinds=["hint", "hint", "deleted", "hint"])
+    @example(hint=4, kinds=["hint", "directory", "hint"])
     @given(
         hint=st.integers(1, 40),
-        first_hint=st.booleans(),
         kinds=st.lists(
             st.sampled_from(["0", "hint-1", "hint", "hint+1", "3*hint", "deleted", "directory"]),
             max_size=7,
         ),
     )
-    def test_native_reader_matches_fallback(self, tmp_path_factory, hint, first_hint, kinds):
+    def test_native_reader_matches_fallback(self, tmp_path_factory, hint, kinds):
         # The same bytes, or the same OSError at the same file, when a
         # listed file is deleted or replaced by a directory, and whether
         # each file is smaller than, as large as or larger than the one
@@ -574,9 +579,8 @@ class TestReadFiles:
             elif kind != "deleted":
                 path.write_bytes(bytes((i + k) % 256 for k in range(sizes[kind])))
             paths.append(str(path))
-        size_hint = hint if first_hint else None
-        want = _read_outcome(_fallback.read_files, paths, size_hint)
-        assert _read_outcome(NATIVE_READ, paths, size_hint) == want
+        want = _read_outcome(_fallback.read_files, paths)
+        assert _read_outcome(NATIVE_READ, paths) == want
 
     @pytest.mark.parametrize("name", ["0000.pgm", "0001.pgm"])
     def test_directory_after_listing_keeps_the_open_error(self, tmp_path, name):
@@ -591,7 +595,7 @@ class TestReadFiles:
         path = str(tmp_path / name)
         for read in READERS:
             with pytest.raises(IsADirectoryError) as err:
-                list(read(paths, None))
+                list(read(paths))
             assert str(err.value) == (
                 f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
             )
@@ -609,7 +613,7 @@ class TestReadFiles:
 
         def pull(n):
             for _ in range(5):
-                assert list(NATIVE_READ(paths[n:], None)) == datas[n:]
+                assert list(NATIVE_READ(paths[n:])) == datas[n:]
             got[n] = True
 
         interval = sys.getswitchinterval()
@@ -636,7 +640,6 @@ class TestReaderThread:
     @pytest.mark.parametrize("end", ["closed", "exhausted", "bad header", "file deleted"])
     def test_stream_leaves_no_thread(self, tmp_path, monkeypatch, end):
         monkeypatch.setattr(kernels, "ACTIVE", kernels._Impl("native", kernels._native))
-        monkeypatch.setattr("cricseg.frames._cpus", lambda: 2)
         # 640x360 frames, of which the reader reads two ahead, so that its
         # thread is still running after the first pull.
         for i in range(8):
@@ -667,7 +670,7 @@ class TestReaderThread:
             paths.append(str(tmp_path / f"{i}"))
             (tmp_path / f"{i}").write_bytes(bytes([i]) * 300_000)
         before = _threads()
-        files = NATIVE_READ(paths, None)
+        files = NATIVE_READ(paths)
         assert next(files) == bytes(300_000)
         assert _threads() == before + 1
         del files

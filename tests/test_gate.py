@@ -18,8 +18,6 @@ from cricseg.gate import (
     gate_classifier,
     gate_dual,
     gate_either,
-    gate_pitch,
-    gate_umpire,
 )
 from cricseg.metrics import confusion
 from cricseg.scenario import bundled_scripts, frame_stream, load_script, synthetic_backend
@@ -143,28 +141,28 @@ class TestClassifierGate:
 class TestObjectGates:
     def test_umpire_present(self):
         ann = make_annotations(umpire=0.8)
-        assert gate_umpire(ann, CFG).is_front
+        assert apply_gate("umpire", ann, CFG).is_front
 
     def test_umpire_absent_with_pitch_only(self):
         ann = make_annotations(pitch=0.9)
-        assert not gate_umpire(ann, CFG).is_front
+        assert not apply_gate("umpire", ann, CFG).is_front
 
     def test_umpire_below_confidence(self):
         ann = make_annotations(umpire=0.1)
-        assert not gate_umpire(ann, CFG).is_front
+        assert not apply_gate("umpire", ann, CFG).is_front
 
     def test_pitch_present(self):
-        assert gate_pitch(make_annotations(pitch=0.9), CFG).is_front
+        assert apply_gate("pitch", make_annotations(pitch=0.9), CFG).is_front
 
     def test_pitch_no_detections(self):
-        assert not gate_pitch(make_annotations(), CFG).is_front
+        assert not apply_gate("pitch", make_annotations(), CFG).is_front
 
     def test_pitch_existential_over_multiple(self):
         from cricseg.backend import Detection
 
         extra = (Detection("pitch", (0, 0, 5, 5), 0.1),)
         ann = make_annotations(pitch=0.6, extra=extra)
-        assert gate_pitch(ann, CFG).is_front
+        assert apply_gate("pitch", ann, CFG).is_front
 
 
 class TestEitherGate:
@@ -185,7 +183,9 @@ class TestEitherGate:
     def test_equivalent_to_disjunction(self, umpire, pitch, prob):
         ann = make_annotations(0, prob, umpire, pitch)
         either = gate_either(ann, CFG).is_front
-        assert either == (gate_umpire(ann, CFG).is_front or gate_pitch(ann, CFG).is_front)
+        assert either == (
+            apply_gate("umpire", ann, CFG).is_front or apply_gate("pitch", ann, CFG).is_front
+        )
 
 
 class TestDualGate:
@@ -290,8 +290,8 @@ class TestAgainstReference:
         assert gate_classifier(annotations.front_prob, cfg) == _ref_gate_classifier(
             annotations.front_prob, cfg
         )
-        assert gate_umpire(annotations, cfg) == _ref_gate_umpire(annotations, cfg)
-        assert gate_pitch(annotations, cfg) == _ref_gate_pitch(annotations, cfg)
+        assert apply_gate("umpire", annotations, cfg) == _ref_gate_umpire(annotations, cfg)
+        assert apply_gate("pitch", annotations, cfg) == _ref_gate_pitch(annotations, cfg)
         assert gate_either(annotations, cfg) == _ref_gate_either(annotations, cfg)
         assert gate_dual(annotations, cfg) == _ref_gate_dual(annotations, cfg)
 
