@@ -11,10 +11,13 @@ import errno
 import math
 import os
 import random
+from collections import Counter
+from itertools import groupby
 
 from cricseg import segmenter
 from cricseg.backend import Detection, FrameAnnotations
 from cricseg.geometry import PitchSpec, RowCalibration
+from cricseg.replay import UNDETERMINED, classify_liveness
 from cricseg.scenario import (
     FRONT_VIEW,
     OTHER_VIEW,
@@ -222,3 +225,72 @@ def failing_write(monkeypatch, nth, partial=False):
 
     monkeypatch.setattr(segmenter, "write_pgm", write)
     return paths
+
+
+def boundary_flags(frames, cfg):
+    """Whether each frame is a shot boundary. The background model sees
+    every frame, and starts again from the frame of each boundary."""
+    model = segmenter.BackgroundModel(cfg)
+    flags = []
+    for frame in frames:
+        warm = model.warm
+        fg = model.update(frame.luma)
+        cut = segmenter.detect_boundary(segmenter.foreground_fraction(fg), cfg, warm)
+        if cut:
+            model.reset()
+            model.update(frame.luma)
+        flags.append(cut)
+    return flags
+
+
+def reference_segment(frames, verdicts, cuts, fps, k, min_frames, replay_cfg):
+    """The clips of a whole stream, from its gate verdicts and boundary
+    flags, with no lookback window.
+
+    The gate opens (closes) at the k-th frame of a run of k front (not
+    front) verdicts while it is closed (open); the event's run starts at
+    the run's first frame. At each frame, in this order: a gate close
+    ends the open clip on the frame before its run; a boundary ends the
+    open clip on the frame before the boundary and, if the gate is open,
+    starts one at the boundary; a gate open starts a clip at its run's
+    start unless one is open. The last frame ends the clip still open.
+    A clip is kept when it has at least ``min_frames`` frames; it counts
+    each signal over its frames, and its endpoints decide its liveness.
+    """
+    events, gate, pos = {}, False, 0
+    for front, run in groupby(v.is_front for v in verdicts):
+        length = len(list(run))
+        if front != gate and length >= k:
+            gate = front
+            events[pos + k - 1] = (front, pos)
+        pos += length
+    spans, start, gate = [], None, False
+    for i, cut in enumerate(cuts):
+        event = events.get(i)
+        if event is not None:
+            gate, run_start = event
+            if not gate and start is not None:
+                spans.append((start, run_start - 1))
+                start = None
+        if cut:
+            if start is not None:
+                spans.append((start, i - 1))
+            start = i if gate else None
+        if event is not None and gate and start is None:
+            start = run_start
+    if start is not None:
+        spans.append((start, len(cuts) - 1))
+    clips = []
+    for start, end in spans:
+        length = end - start + 1
+        if length < min_frames:
+            continue
+        signals = Counter(s for v in verdicts[start : end + 1] for s in v.evidence)
+        liveness = (
+            classify_liveness([frames[start], frames[end]], replay_cfg)
+            if length >= 2
+            else UNDETERMINED
+        )
+        evidence = {"frames": length, "signals": dict(sorted(signals.items()))}
+        clips.append(segmenter.Clip(start, end, length * 1000.0 / fps, liveness, evidence))
+    return clips

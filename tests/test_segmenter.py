@@ -10,11 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cricseg import segmenter
-from cricseg.backend import AnnotationError, FrameAnnotations, MappingBackend
+from cricseg.backend import AnnotationError, Detection, FrameAnnotations, MappingBackend
 from cricseg.frames import Frame, _read_pgm
-from cricseg.gate import GateConfig
+from cricseg.gate import DUAL_MODES, STRATEGIES, GateConfig, apply_gate
+from cricseg.replay import ReplayConfig
 from cricseg.segmenter import (
     BackgroundModel,
     BoundaryConfig,
@@ -36,7 +38,7 @@ from cricseg.scenario import (
     synthetic_backend,
 )
 
-from _support import failing_write, random_cut_script
+from _support import boundary_flags, failing_write, random_cut_script, reference_segment
 
 CFG = BoundaryConfig()
 SMALL = dict(width=160, height=90)
@@ -471,6 +473,76 @@ class TestExport:
             assert export.clips == {
                 n: list(range(c.start, c.end + 1)) for n, c in enumerate(clips, start=1)
             }
+
+
+def _annotations(index, mask):
+    """Bit 0 of ``mask`` sets the classifier score, bits 1 and 2 add an
+    umpire and a pitch detection."""
+    detections = tuple(
+        Detection(label, (1.0, 1.0, 2.0, 2.0), 0.9)
+        for bit, label in ((2, "umpire"), (4, "pitch"))
+        if mask & bit
+    )
+    return FrameAnnotations(index, 0.9 if mask & 1 else 0.1, detections)
+
+
+@st.composite
+def gated_streams(draw):
+    """Frames and their annotations: runs of one signal mask each, some a
+    frame or two long so that the gate flickers, over scenes cut at
+    random frames. Bit 3 of a run's mask changes the scorecard band."""
+    runs = draw(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(0, 15)), min_size=1, max_size=12)
+    )
+    masks = [mask for length, mask in runs for _ in range(length)]
+    cuts = draw(st.sets(st.integers(1, len(masks)), max_size=8))
+    frames, records, scene = [], {}, 0
+    for i, mask in enumerate(masks):
+        scene += i in cuts
+        level = (40, 200, 120)[scene % 3]
+        luma = np.full((20, 16), level, dtype=np.uint8)
+        if mask & 8:
+            luma[-3:] = 255 - level
+        frames.append(Frame(i, i * 20.0, luma))
+        records[i] = _annotations(i, mask)
+    return frames, records
+
+
+class TestWholeStreamReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=gated_streams(),
+        strategy=st.sampled_from(STRATEGIES),
+        dual_mode=st.sampled_from(DUAL_MODES),
+        k=st.integers(1, 5),
+        min_frames=st.integers(1, 40),
+        init_frames=st.integers(1, 30),
+    )
+    def test_segment_matches_the_whole_stream_rules(
+        self, stream, strategy, dual_mode, k, min_frames, init_frames
+    ):
+        frames, records = stream
+        gate_cfg = GateConfig(dual_mode=dual_mode, debounce_k=k)
+        boundary_cfg = BoundaryConfig(init_frames=init_frames, min_clip_frames=min_frames)
+        export = RecordingExport()
+        clips = list(
+            segment(
+                iter(frames),
+                MappingBackend(records),
+                50.0,
+                gate_cfg=gate_cfg,
+                boundary_cfg=boundary_cfg,
+                strategy=strategy,
+                export=export,
+            )
+        )
+        verdicts = [apply_gate(strategy, records[i], gate_cfg) for i in range(len(frames))]
+        cuts = boundary_flags(frames, boundary_cfg)
+        want = reference_segment(frames, verdicts, cuts, 50.0, k, min_frames, ReplayConfig())
+        assert clips == want
+        assert export.clips == {
+            n: list(range(c.start, c.end + 1)) for n, c in enumerate(want, start=1)
+        }
 
 
 class TestClipInvariants:
