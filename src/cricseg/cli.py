@@ -122,6 +122,16 @@ def _pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict[str
             values[key] = str(value)
     cfg = build_pipeline_config(values)
     cfg.validate()
+    # The synthetic backend takes frames, fps and size from its scenario
+    # script; a file backend has no script.
+    if cfg.backend == "synthetic":
+        unread = ("source.path", "source.fps", "source.width", "source.height")
+    else:
+        unread = ("source.scenario",)
+    ignored = [key for key in unread if key in values]
+    if ignored:
+        kind = cfg.backend.partition(":")[0]
+        raise ConfigError(f"the {kind} backend does not read {', '.join(ignored)}")
     return cfg, values
 
 

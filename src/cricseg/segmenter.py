@@ -16,7 +16,7 @@ from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,36 +144,35 @@ class Clip:
 class ClipExport:
     """Writes clip frames as ``clip_NNNN/NNNNNN.pgm`` under a directory.
 
-    ``segment()`` calls ``write`` with the frames of clip ``clip``
-    (numbered from 1 in emission order) in index order, each once, then
-    ``flush`` before it emits the clip, or ``discard`` for the clip in
-    progress when it will not be emitted; the next clip then reuses its
-    number. Discarding removes the clip's files, a partly written one
-    included, and its directory, unless that directory was there before.
+    Clips are numbered from 1. ``write`` adds a frame to the clip in
+    progress; ``segment()`` hands it each frame of a clip once, in index
+    order. ``commit`` ends the clip once its files are written, and the
+    next ``write`` starts the next number. ``discard`` removes the clip in
+    progress, every file of it (a partly written one included) and its
+    directory, unless that directory was there before; the next clip then
+    reuses its number.
 
-    The first ``write`` after a flush starts a writer thread, and each
-    later ``write`` waits for the thread to finish the frame before it, so
-    that one frame at most is in flight. ``flush`` and ``discard`` wait
-    for that frame, stop the thread, and raise the error of a write that
+    The first ``write`` of a clip starts a writer thread, and each later
+    ``write`` waits for the thread to finish the frame before it, so that
+    one frame at most is in flight. ``commit`` and ``discard`` wait for
+    that frame, stop the thread, and raise the error of a write that
     failed; so does the next ``write``.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._clip = 0
+        self._clip = 1
         self._written: list[Path] = []
         self._made_dir: Path | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._pending: Future | None = None
 
-    def write(self, clip: int, frame: Frame) -> None:
-        clip_dir = self.directory / f"clip_{clip:04d}"
-        if clip != self._clip:
-            self._clip, self._written, self._made_dir = clip, [], None
-            if not clip_dir.is_dir():
-                clip_dir.mkdir()
-                self._made_dir = clip_dir
+    def write(self, frame: Frame) -> None:
+        clip_dir = self.directory / f"clip_{self._clip:04d}"
+        if not self._written and not clip_dir.is_dir():
+            clip_dir.mkdir()
+            self._made_dir = clip_dir
         path = clip_dir / f"{frame.index:06d}.pgm"
         # Recorded before the write, so that a discard removes a partial file.
         self._written.append(path)
@@ -187,26 +186,31 @@ class ClipExport:
             self._pool = ThreadPoolExecutor(1, thread_name_prefix="cricseg-export")
         self._pending = self._pool.submit(_write_taken, [(frame.luma, path)])
 
-    def flush(self) -> None:
-        """Wait until every frame handed to ``write`` is written, and stop
-        the writer thread; raises the error of a write that failed."""
+    def commit(self) -> None:
+        """Wait until every frame of the clip is written, stop the writer
+        thread and move on to the next clip; raises the error of a write
+        that failed, and the clip stays in progress."""
+        self._finish_writes()
+        self._clip += 1
+        self._written, self._made_dir = [], None
+
+    def discard(self) -> None:
+        try:
+            self._finish_writes()
+        finally:
+            for path in self._written:
+                path.unlink(missing_ok=True)
+            if self._made_dir is not None:
+                self._made_dir.rmdir()
+            self._written, self._made_dir = [], None
+
+    def _finish_writes(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         pending, self._pending = self._pending, None
         if pending is not None:
             pending.result()
-
-    def discard(self, clip: int) -> None:
-        try:
-            self.flush()
-        finally:
-            if clip == self._clip:
-                for path in self._written:
-                    path.unlink(missing_ok=True)
-                if self._made_dir is not None:
-                    self._made_dir.rmdir()
-                self._clip, self._written, self._made_dir = 0, [], None
 
 
 def _write_taken(job: list) -> None:
@@ -221,13 +225,6 @@ class _OpenClip:
     start: int
     first_frame: Frame
     signal_counts: dict = field(default_factory=dict)
-    counted_up_to: int = -1
-
-    def count(self, index: int, verdict: GateVerdict, sign: int = 1) -> None:
-        for signal in verdict.evidence:
-            self.signal_counts[signal] = self.signal_counts.get(signal, 0) + sign
-        if sign > 0:
-            self.counted_up_to = index
 
 
 def segment(
@@ -238,7 +235,6 @@ def segment(
     boundary_cfg: BoundaryConfig | None = None,
     replay_cfg: ReplayConfig | None = None,
     strategy: str = "dual",
-    on_frame: Callable[[int], None] | None = None,
     export: ClipExport | None = None,
 ) -> Iterator[Clip]:
     """Run the full gate + boundary state machine over a frame stream.
@@ -250,11 +246,12 @@ def segment(
     ordered, and at least min_clip_frames long. Backend errors abort the
     clip in progress and surface with the frame index.
 
-    With ``export``, a clip frame is written once it leaves the lookback
-    window of an open clip, and the rest when the clip closes; every file
-    of a clip is written before it is yielded. A clip that is dropped or
-    aborted is discarded from the export, and no writer thread outlives
-    the generator.
+    A frame of an open clip is settled once its clip membership is final:
+    when it leaves the lookback window, or when its clip closes. Settling
+    counts its gate evidence into the clip's signals and, with
+    ``export``, writes it; every file of a clip is committed before the
+    clip is yielded. A clip that is dropped or aborted is discarded from
+    the export, and no writer thread outlives the generator.
     """
     gate_cfg = gate_cfg or GateConfig()
     boundary_cfg = boundary_cfg or BoundaryConfig()
@@ -263,49 +260,45 @@ def segment(
     model = BackgroundModel(boundary_cfg)
     debouncer = Debouncer(gate_cfg.debounce_k)
     open_clip: _OpenClip | None = None
-    # Lookback buffer for retroactive opens and closes: the debounce lag
-    # plus the boundary's one-frame step back.
+    # Lookback buffer for retroactive opens and closes. A debounced run
+    # starts k - 1 frames back and a gate close ends the clip on the frame
+    # before it, so the window holds the current frame and k before it.
     recent: OrderedDict[int, tuple[Frame, GateVerdict]] = OrderedDict()
-    lookback = gate_cfg.debounce_k + 2
+    lookback = gate_cfg.debounce_k + 1
     current = -1
-    emitted = 0
+
+    def settle(index: int) -> None:
+        frame, verdict = recent[index]
+        counts = open_clip.signal_counts
+        for signal in verdict.evidence:
+            counts[signal] = counts.get(signal, 0) + 1
+        if export is not None:
+            export.write(frame)
 
     def close(end_index: int) -> Clip | None:
-        """Close the open clip at end_index; None when nothing to emit."""
-        nonlocal open_clip, emitted
-        state, open_clip = open_clip, None
-        if state is None:
-            return None
+        """Close the open clip at end_index; None when it is too short."""
+        nonlocal open_clip
+        state = open_clip
         length = end_index - state.start + 1
         if length < boundary_cfg.min_clip_frames:
+            open_clip = None
             if export is not None:
-                export.discard(emitted + 1)
+                export.discard()
             return None
-        for idx in range(end_index + 1, state.counted_up_to + 1):
-            state.count(idx, recent[idx][1], sign=-1)
+        # Frames that already left the lookback window were settled then.
+        for idx in range(max(state.start, next(iter(recent))), end_index + 1):
+            settle(idx)
+        open_clip = None
         if export is not None:
-            # Frames that already left the lookback window were written then.
-            for idx in range(max(state.start, next(iter(recent))), end_index + 1):
-                export.write(emitted + 1, recent[idx][0])
-            export.flush()
-        emitted += 1
+            export.commit()
         last_frame = recent[end_index][0]
         liveness = (
             classify_liveness([state.first_frame, last_frame], replay_cfg)
             if length >= 2
             else UNDETERMINED
         )
-        evidence = {
-            "frames": length,
-            "signals": {k: v for k, v in sorted(state.signal_counts.items()) if v > 0},
-        }
+        evidence = {"frames": length, "signals": dict(sorted(state.signal_counts.items()))}
         return Clip(state.start, end_index, length * 1000.0 / fps, liveness, evidence)
-
-    def open_at(start_index: int) -> None:
-        nonlocal open_clip
-        open_clip = _OpenClip(start_index, recent[start_index][0])
-        for idx in range(start_index, current + 1):
-            open_clip.count(idx, recent[idx][1])
 
     try:
         for frame in frames:
@@ -317,12 +310,12 @@ def segment(
             current = frame.index
             verdict = apply_gate(strategy, annotations, gate_cfg)
             recent[current] = (frame, verdict)
-            while len(recent) > lookback:
+            if len(recent) > lookback:
                 # An open clip's end never falls before a frame leaving the
                 # window, so a frame from its start on is final here.
                 oldest = next(iter(recent))
-                if export is not None and open_clip is not None and oldest >= open_clip.start:
-                    export.write(emitted + 1, recent[oldest][0])
+                if open_clip is not None and oldest >= open_clip.start:
+                    settle(oldest)
                 del recent[oldest]
 
             was_warm = model.warm
@@ -342,27 +335,22 @@ def segment(
                 model.reset()
                 model.update(frame.luma)
                 if debouncer.gate_open:
-                    open_at(current)
+                    open_clip = _OpenClip(current, frame)
             if event is not None and event.kind == "open" and open_clip is None:
-                open_at(event.run_start)
+                open_clip = _OpenClip(event.run_start, recent[event.run_start][0])
 
-            if open_clip is not None and open_clip.counted_up_to < current:
-                open_clip.count(current, verdict)
-            if on_frame is not None:
-                on_frame(current)
-
-        if open_clip is not None and current >= 0:
+        if open_clip is not None:
             clip = close(current)
             if clip is not None:
                 yield clip
     except BaseException:
         # An aborted clip is never emitted, so nothing of it stays exported;
-        # this also stops the writer thread. Clip emitted + 1 is the one in
-        # progress, closing or not, and has no files when none was open.
-        # The error in flight is the one to report, not a cleanup failure.
+        # this also stops the writer thread. The clip in progress, closing or
+        # not, has no files when none was open. The error in flight is the
+        # one to report, not a cleanup failure.
         if export is not None:
             with suppress(Exception):
-                export.discard(emitted + 1)
+                export.discard()
         raise
 
 
@@ -379,11 +367,13 @@ def run_segmentation(
     """Drive segment() to completion, timing the run."""
     count = 0
 
-    def tick(_: int) -> None:
+    def counted(frames: Iterable[Frame]) -> Iterator[Frame]:
         nonlocal count
-        count += 1
+        for frame in frames:
+            count += 1
+            yield frame
 
     start = time.perf_counter()
-    clips = list(segment(frames, backend, fps, on_frame=tick, **kwargs))
+    clips = list(segment(counted(frames), backend, fps, **kwargs))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return SegmentRun(clips=clips, frames_processed=count, wall_ms=wall_ms)

@@ -194,10 +194,10 @@ class TestSegment:
         )
         assert code == 0
         assert len(alive) == 261
-        # The lookback window (debounce_k + 2, default k = 3), an open
+        # The lookback window (debounce_k + 1, default k = 3), an open
         # clip's first frame, and the frame that last left the window,
         # which the export's writer thread holds while it writes it.
-        assert max(alive) <= 3 + 3 + 1
+        assert max(alive) <= 4 + 1 + 1
         rows = read_jsonl(tmp_path / "m.jsonl")
         assert len(rows) == 2
         for n, row in enumerate(rows, start=1):
@@ -745,6 +745,32 @@ class TestConfigFile:
                 build_pipeline_config({key: "1"})
             else:
                 assert build_pipeline_config({key: default}) == base, key
+
+    @pytest.mark.parametrize(
+        "flags,ignored",
+        [
+            (["--scenario", "three_lengths", "--source", "/nonexistent"], ["source.path"]),
+            (["--scenario", "three_lengths", "--fps", "25"], ["source.fps"]),
+            (
+                ["--scenario", "three_lengths", "--width", "1600", "--height", "900"],
+                ["source.width", "source.height"],
+            ),
+            (["--backend", "file:{ann}", "--source", "{ann}", "--scenario", "three_lengths"],
+             ["source.scenario"]),
+        ],
+        ids=["synthetic_path", "synthetic_fps", "synthetic_size", "file_scenario"],
+    )
+    def test_source_key_the_backend_does_not_read_is_config_error(
+        self, tmp_path, capsys, flags, ignored
+    ):
+        ann = tmp_path / "annotations.jsonl"
+        ann.write_text("", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        argv = ["segment", *[f.format(ann=ann) for f in flags], "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"does not read {', '.join(ignored)}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["gate.stratgy", "run.threads"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, key):

@@ -235,17 +235,18 @@ class RecordingExport:
 
     def __init__(self):
         self.clips = {}
+        self.clip = 1
 
-    def write(self, clip, frame):
-        written = self.clips.setdefault(clip, [])
+    def write(self, frame):
+        written = self.clips.setdefault(self.clip, [])
         assert not written or frame.index > written[-1]
         written.append(frame.index)
 
-    def flush(self):
-        pass
+    def commit(self):
+        self.clip += 1
 
-    def discard(self, clip):
-        self.clips.pop(clip, None)
+    def discard(self):
+        self.clips.pop(self.clip, None)
 
 
 def watched_export(tmp_path):
@@ -254,9 +255,9 @@ def watched_export(tmp_path):
     export.handed = []
     write = export.write
 
-    def noting(clip, frame):
+    def noting(frame):
         export.handed.append(frame.index)
-        write(clip, frame)
+        write(frame)
 
     export.write = noting
     return export
@@ -312,8 +313,9 @@ class TestExport:
         assert exported(export.directory) == {}
 
     def test_write_failing_at_close_removes_the_clip(self, tmp_path, monkeypatch):
-        # Clip frames 50-149 leave the five-frame lookback window one by
-        # one, up to frame 144; the 98th write is frame 147, at the close.
+        # Clip frames 50-149 leave the four-frame lookback window one by
+        # one, up to frame 146; the 98th write is frame 147, the first at
+        # the close.
         script = script_from_lengths(
             [(OTHER_VIEW, 50), (FRONT_VIEW, 100), (OTHER_VIEW, 50)], **SMALL
         )
