@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from cricseg.backend import (
@@ -148,35 +147,26 @@ def _load_backend(cfg: PipelineConfig) -> tuple[MappingBackend, ScenarioScript |
     return backend, None
 
 
-@contextmanager
-def _open_frames(cfg: PipelineConfig, script: ScenarioScript | None):
-    """The frame stream and its fps; a raw-luma file stays open while in use."""
-    if script is not None:
-        yield frame_stream(script), script.fps
-    elif Path(cfg.source).is_file():
-        with open(cfg.source, "rb") as fh:
-            yield open_source(fh, cfg.fps, cfg.width, cfg.height), cfg.fps
-    else:
-        yield open_source(Path(cfg.source), cfg.fps, cfg.width, cfg.height), cfg.fps
-
-
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg, _ = _pipeline_config(args)
     if cfg.backend != "synthetic" and cfg.source is None:
         raise ConfigError("a file backend needs --source for the frames")
     backend, script = _load_backend(cfg)
     export = ClipExport(args.export_frames) if args.export_frames else None
-    with _open_frames(cfg, script) as (stream, fps):
-        run = run_segmentation(
-            stream,
-            backend,
-            fps,
-            gate_cfg=cfg.gate,
-            boundary_cfg=cfg.boundary,
-            replay_cfg=cfg.replay,
-            strategy=cfg.strategy,
-            export=export,
-        )
+    if script is not None:
+        stream, fps = frame_stream(script), script.fps
+    else:
+        stream, fps = open_source(cfg.source, cfg.width, cfg.height), cfg.fps
+    run = run_segmentation(
+        stream,
+        backend,
+        fps,
+        gate_cfg=cfg.gate,
+        boundary_cfg=cfg.boundary,
+        replay_cfg=cfg.replay,
+        strategy=cfg.strategy,
+        export=export,
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         for clip in run.clips:
             fh.write(

@@ -26,6 +26,7 @@ class ConfigError(Exception):
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -39,7 +40,13 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 

@@ -1,12 +1,12 @@
 """Frame ingestion and crop geometry.
 
-Frames are 8-bit luma rasters with a strictly increasing, gapless index
-and a timestamp derived from the declared fps. Sources are an image
-directory (numbered PGM/PNG files) or a headerless raw-luma pipe; codec
-decoding is left to external tooling. Readers do not copy pixels: a
-frame's ``luma`` may be a read-only view of the bytes read from the source.
-A directory's PGM files are read through ``kernels.ACTIVE.read_files``,
-which the compiled build runs two files ahead on a thread of its own.
+Frames are 8-bit luma rasters with a strictly increasing, gapless index.
+Sources are a directory of numbered PGM files or a file of headerless raw
+luma; codec decoding is left to external tooling. Readers do not copy
+pixels: a frame's ``luma`` may be a read-only view of the bytes read from
+the source. A directory's PGM files are read through
+``kernels.ACTIVE.read_files``, which the compiled build runs up to 512 KiB
+(2-64 files) ahead on a thread of its own.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from math import inf
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,10 +42,9 @@ class Frame:
 
     # Declared by hand so that frames keep weak references on every
     # supported Python (dataclass's weakref_slot needs 3.11).
-    __slots__ = ("index", "timestamp_ms", "luma", "__weakref__")
+    __slots__ = ("index", "luma", "__weakref__")
 
     index: int
-    timestamp_ms: float
     luma: np.ndarray
 
     def __post_init__(self) -> None:
@@ -68,7 +66,7 @@ class Frame:
     def __reduce__(self):
         # Copies and pickles go through __init__: the default restore of
         # slots assigns to them, which a frozen dataclass refuses.
-        return Frame, (self.index, self.timestamp_ms, self.luma)
+        return Frame, (self.index, self.luma)
 
     @property
     def height(self) -> int:
@@ -84,7 +82,6 @@ class Frame:
 # C-contiguous and read-only, which is all __post_init__ would check.
 _new = object.__new__
 _set_index = Frame.index.__set__
-_set_timestamp_ms = Frame.timestamp_ms.__set__
 _set_luma = Frame.luma.__set__
 
 
@@ -129,24 +126,14 @@ def crop_offsets(spec: CropSpec, width: int, height: int) -> tuple[int, int]:
     return int(spec.left * width), int(spec.top * height)
 
 
-def _check_fps(fps: float) -> None:
-    if not 0.0 < fps < inf:
-        raise FrameSourceError("fps must be positive and finite")
-
-
-def stream_from_arrays(arrays: Iterable[np.ndarray], fps: float) -> Iterator[Frame]:
+def stream_from_arrays(arrays: Iterable[np.ndarray]) -> Iterator[Frame]:
     """Frames 0, 1, ... of an iterable of uint8 luma arrays."""
-    _check_fps(fps)
-
-    def gen() -> Iterator[Frame]:
-        shape = None
-        for i, arr in enumerate(arrays):
-            shape = _same_shape(i, arr.shape, shape)
-            if type(arr) is not np.ndarray or arr.dtype != _UINT8:
-                arr = np.ascontiguousarray(arr, dtype=np.uint8)
-            yield Frame(i, i * 1000.0 / fps, arr)
-
-    return gen()
+    shape = None
+    for i, arr in enumerate(arrays):
+        shape = _same_shape(i, arr.shape, shape)
+        if type(arr) is not np.ndarray or arr.dtype != _UINT8:
+            arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        yield Frame(i, arr)
 
 
 def _same_shape(i: int, shape: tuple, expected: tuple | None, path: str | None = None) -> tuple:
@@ -167,7 +154,7 @@ def write_pgm(luma: np.ndarray, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(luma, dtype=np.uint8))
 
 
-_NUMBERED = re.compile(r"(\d+)\.(pgm|png)$", re.IGNORECASE)
+_NUMBERED = re.compile(r"(\d+)\.pgm$", re.IGNORECASE)
 
 # P5 header: magic, width, height, maxval, then one whitespace byte. A
 # token is a run of non-whitespace bytes (bytes.isspace: space, \t, \n,
@@ -216,18 +203,7 @@ def _read_pgm(path: str | Path) -> np.ndarray:
     return _pgm_pixels(path, data, *_pgm_header(path, data))
 
 
-def _read_png(path: str) -> np.ndarray:
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise FrameSourceError(
-            "PNG input requires pillow (pip install cricseg[png]); PGM needs no extras"
-        ) from exc
-    with Image.open(path) as img:
-        return np.asarray(img.convert("L"), dtype=np.uint8)
-
-
-def _image_dir_frames(directory: Path, fps: float, shape: tuple | None = None) -> Iterator[Frame]:
+def _image_dir_frames(directory: Path, shape: tuple | None = None) -> Iterator[Frame]:
     # ``shape`` is the declared (height, width) that every frame must
     # have; None lets the first frame set it.
     # Paths stay str, spelt as ``directory / name`` would print ("." adds
@@ -241,32 +217,27 @@ def _image_dir_frames(directory: Path, fps: float, shape: tuple | None = None) -
                 # A FIFO would block its read, and the stream, for good.
                 if not entry.is_file():
                     raise FrameSourceError(f"{prefix + entry.name}: not a regular file")
-                entries.append((int(m.group(1)), prefix + entry.name, m.group(2).lower()))
+                entries.append((int(m.group(1)), prefix + entry.name))
     if not entries:
-        raise FrameSourceError(f"{directory}: no numbered .pgm/.png files found")
+        raise FrameSourceError(f"{directory}: no numbered .pgm files found")
     entries.sort()
     # The stream index counts files, so the numbers in their names must
     # count too, or frames would meet another frame's annotations.
-    for (prev, prev_path, _), (num, path, _) in zip(entries, entries[1:]):
+    for (prev, prev_path), (num, path) in zip(entries, entries[1:]):
         if num == prev:
             raise FrameSourceError(f"{prev_path} and {path}: both are frame {num}")
         if num != prev + 1:
             raise FrameSourceError(
                 f"{prev_path} and {path}: frame numbers skip from {prev} to {num}"
             )
-    files = kernels.ACTIVE.read_files([path for _, path, ext in entries if ext == "pgm"])
+    files = kernels.ACTIVE.read_files([path for _, path in entries])
     # A file that starts with the previous PGM header's exact bytes reuses
     # its parse, and so its shape: a token runs to the next whitespace
     # byte, and whitespace and comments match only one way, so the regex
     # would match those bytes alike and stop at the same place.
     head = None
     try:
-        for i, (_, path, ext) in enumerate(entries):
-            if ext == "png":
-                luma = _read_png(path)
-                shape = _same_shape(i, luma.shape, shape, path)
-                yield Frame(i, i * 1000.0 / fps, luma)
-                continue
+        for i, (_, path) in enumerate(entries):
             data = next(files)
             if head is not None and data.startswith(head):
                 luma = _pgm_pixels(path, data, width, height, pos)
@@ -277,44 +248,41 @@ def _image_dir_frames(directory: Path, fps: float, shape: tuple | None = None) -
                 shape = _same_shape(i, luma.shape, shape, path)
             frame = _new(Frame)
             _set_index(frame, i)
-            _set_timestamp_ms(frame, i * 1000.0 / fps)
             _set_luma(frame, luma)
             yield frame
     finally:
         files.close()
 
 
-def _raw_pipe_frames(fh: BinaryIO, width: int, height: int) -> Iterator[np.ndarray]:
+def _raw_pipe_frames(path: Path, width: int, height: int) -> Iterator[Frame]:
+    # The file is opened at the first pull and closed when the stream is
+    # exhausted, closed or freed.
     nbytes = width * height
-    while True:
-        buf = fh.read(nbytes)
-        if not buf:
-            return
-        if len(buf) != nbytes:
-            raise FrameSourceError(
-                f"raw stream truncated: got {len(buf)} of {nbytes} bytes"
-            )
-        yield np.frombuffer(buf, dtype=np.uint8).reshape(height, width)
+    with open(path, "rb") as fh:
+        for i, buf in enumerate(iter(lambda: fh.read(nbytes), b"")):
+            if len(buf) != nbytes:
+                raise FrameSourceError(
+                    f"{path}: frame {i} truncated: got {len(buf)} of {nbytes} bytes"
+                )
+            yield Frame(i, np.frombuffer(buf, dtype=np.uint8).reshape(height, width))
 
 
 def open_source(
-    uri: str | Path | BinaryIO,
-    fps: float,
-    width: int | None = None,
-    height: int | None = None,
+    path: str | Path, width: int | None = None, height: int | None = None
 ) -> Iterator[Frame]:
-    """Open an image-sequence directory or a raw-luma byte stream.
+    """Open a frame directory or a raw-luma file by path.
 
-    Directories hold zero-padded numbered PGM/PNG files; when width and
-    height are both given, their frames must have that size. A byte
-    stream is headerless 8-bit luma, so width and height must be given.
+    A directory holds zero-padded numbered PGM files; when width and
+    height are both given, its frames must have that size. A regular
+    file is headerless 8-bit luma, width * height bytes a frame, so both
+    must be given. Any other path, a FIFO included, is refused unopened.
+    Nothing is read until the first frame is pulled.
     """
-    if hasattr(uri, "read"):
-        if not width or not height:
-            raise FrameSourceError("raw stream input needs explicit width and height")
-        return stream_from_arrays(_raw_pipe_frames(uri, width, height), fps)
-    path = Path(uri)
+    path = Path(path)
     if path.is_dir():
-        _check_fps(fps)
-        return _image_dir_frames(path, fps, (height, width) if width and height else None)
-    raise FrameSourceError(f"{path}: not a readable frame directory")
+        return _image_dir_frames(path, (height, width) if width and height else None)
+    if path.is_file():
+        if not width or not height:
+            raise FrameSourceError(f"{path}: raw luma input needs explicit width and height")
+        return _raw_pipe_frames(path, width, height)
+    raise FrameSourceError(f"{path}: not a frame directory or regular file")

@@ -365,9 +365,7 @@ def render_frame(script: ScenarioScript, index: int, band: BandSpec | None = Non
 
 
 def frame_stream(script: ScenarioScript, band: BandSpec | None = None) -> Iterator[Frame]:
-    return stream_from_arrays(
-        (render_frame(script, i, band) for i in range(script.n_frames)), script.fps
-    )
+    return stream_from_arrays(render_frame(script, i, band) for i in range(script.n_frames))
 
 
 # --- script loading -----------------------------------------------------------

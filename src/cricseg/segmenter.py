@@ -15,6 +15,7 @@ import time
 from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -251,8 +252,11 @@ def segment(
     counts its gate evidence into the clip's signals and, with
     ``export``, writes it; every file of a clip is committed before the
     clip is yielded. A clip that is dropped or aborted is discarded from
-    the export, and no writer thread outlives the generator.
+    the export, and no writer thread outlives the generator. ``fps``
+    gives each clip's ``duration_ms``, and is checked before any pull.
     """
+    if not 0.0 < fps < inf:
+        raise ValueError("fps must be positive and finite")
     gate_cfg = gate_cfg or GateConfig()
     boundary_cfg = boundary_cfg or BoundaryConfig()
     replay_cfg = replay_cfg or ReplayConfig()

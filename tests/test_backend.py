@@ -749,5 +749,5 @@ class TestAnnotations:
 
         ann = FrameAnnotations(2, 0.7, ())
         backend = MappingBackend({2: ann})
-        frame = Frame(2, 0.0, np.zeros((4, 4), dtype=np.uint8))
+        frame = Frame(2, np.zeros((4, 4), dtype=np.uint8))
         assert backend.annotate(frame) is ann

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -246,6 +247,43 @@ class TestSegment:
         common = ["--source", str(frames), *raw_run.common[2:]]
         assert main(["segment", *common, "--out", str(raw_run.tmp / "pgm_m.jsonl")]) == 2
         assert f"{frames / '000000.pgm'}: malformed PGM header" in capsys.readouterr().err
+
+    def test_truncated_raw_file_is_located_runtime_error(self, raw_run, capsys):
+        # Two whole 160x90 frames, then 7 bytes of a third.
+        trunc = raw_run.tmp / "trunc.raw"
+        trunc.write_bytes(raw_run.raw.read_bytes()[: 2 * 160 * 90 + 7])
+        out = raw_run.tmp / "trunc_m.jsonl"
+        assert main(["segment", "--source", str(trunc), *raw_run.common[2:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [FrameSourceError]: {trunc}: frame 2 truncated: got 7 of 14400 bytes\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_source_exits_at_once(self, raw_run, capsys):
+        # Opening the FIFO would block for good, so a real signal ends a
+        # run that hangs.
+        fifo = raw_run.tmp / "ff"
+        os.mkfifo(fifo)
+
+        class Hung(BaseException):
+            pass  # not an Exception, so no handler in main() catches it
+
+        def hung(signum, frame):
+            raise Hung("segment still runs 30 s after it started")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            code = main(["segment", "--source", str(fifo), *raw_run.common[2:],
+                         "--out", str(raw_run.tmp / "ff_m.jsonl")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error [FrameSourceError]: {fifo}: not a frame directory or regular file\n"
+        )
 
     def test_gap_in_frame_numbers_is_located_runtime_error(self, raw_run, capsys):
         frames = raw_run.tmp / "pgm"
@@ -720,6 +758,20 @@ class TestConfigFile:
         )
         rows = read_jsonl(out)
         assert [(r["start"], r["end"]) for r in rows] == [(50, 149)]
+
+    def test_key_given_twice_in_a_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "backend.kind = synthetic\ngate.debounce_k = 2\n# again\n gate.debounce_k = 5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "m.jsonl"
+        argv = ["segment", "--config", str(cfg), "--scenario", "one_delivery", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:4: duplicate key gate.debounce_k (first on line 2)\n"
+        )
+        assert not out.exists()
 
     def test_readme_keys_are_accepted_with_their_defaults(self):
         # Each key of README's Configuration block, set to the default

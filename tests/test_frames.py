@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import errno
-import io
 import os
 import pickle
 import re
@@ -115,7 +114,7 @@ def _dir_outcomes(directory):
     text of the error that stopped it, if any."""
     out = []
     try:
-        for frame in _image_dir_frames(directory, 25):
+        for frame in _image_dir_frames(directory):
             out.append((frame.luma.shape, frame.luma.tobytes()))
     except FrameSourceError as exc:
         out.append(str(exc))
@@ -123,21 +122,21 @@ def _dir_outcomes(directory):
 
 
 def make_frame(h=100, w=100, value=0, index=0):
-    return Frame(index, 0.0, np.full((h, w), value, dtype=np.uint8))
+    return Frame(index, np.full((h, w), value, dtype=np.uint8))
 
 
 class TestFrame:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            Frame(-1, 0.0, np.zeros((4, 4), dtype=np.uint8))
+            Frame(-1, np.zeros((4, 4), dtype=np.uint8))
 
     def test_rejects_wrong_dtype(self):
         with pytest.raises(ValueError):
-            Frame(0, 0.0, np.zeros((4, 4), dtype=np.float32))
+            Frame(0, np.zeros((4, 4), dtype=np.float32))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Frame(0, 0.0, np.zeros((0, 4), dtype=np.uint8))
+            Frame(0, np.zeros((0, 4), dtype=np.uint8))
 
     def test_luma_is_read_only(self):
         frame = make_frame()
@@ -146,7 +145,7 @@ class TestFrame:
 
     def test_caller_array_becomes_read_only_in_place(self):
         arr = np.zeros((4, 4), dtype=np.uint8)
-        frame = Frame(0, 0.0, arr)
+        frame = Frame(0, arr)
         assert frame.luma is arr
         assert not arr.flags.writeable
 
@@ -154,16 +153,16 @@ class TestFrame:
         "clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))]
     )
     def test_copies_and_pickles(self, clone):
-        frame = Frame(3, 120.0, np.arange(12, dtype=np.uint8).reshape(3, 4))
+        frame = Frame(3, np.arange(12, dtype=np.uint8).reshape(3, 4))
         out = clone(frame)
-        assert (out.index, out.timestamp_ms) == (3, 120.0)
+        assert out.index == 3
         np.testing.assert_array_equal(out.luma, frame.luma)
         assert not out.luma.flags.writeable
 
     def test_strided_luma_is_made_contiguous(self):
         # The compiled kernels take C-contiguous planes only.
         arr = np.arange(48, dtype=np.uint8).reshape(4, 12)
-        frame = Frame(0, 0.0, arr[:, ::-2])
+        frame = Frame(0, arr[:, ::-2])
         assert frame.luma.flags.c_contiguous
         np.testing.assert_array_equal(frame.luma, arr[:, ::-2])
 
@@ -210,48 +209,16 @@ class TestBottomBand:
 
 
 class TestStreams:
-    def test_directory_timestamps(self, tmp_path):
+    def test_directory_frames(self, tmp_path):
         for i in range(10):
             write_pgm(np.full((8, 12), i, dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
-        stream = open_source(tmp_path, fps=50)
+        stream = open_source(tmp_path)
         frames = list(stream)
         assert [f.index for f in frames] == list(range(10))
-        assert [f.timestamp_ms for f in frames] == [i * 20.0 for i in range(10)]
         assert frames[3].luma[0, 0] == 3
 
-    @pytest.mark.parametrize("fps", [0, -1, float("inf"), float("nan")])
-    @pytest.mark.parametrize("opener", ["directory", "raw stream", "arrays"])
-    def test_bad_fps_rejected_before_any_pull(self, tmp_path, monkeypatch, opener, fps):
-        # Every opener raises at the call, before it reads a frame.
-        reads = []
-        luma = np.zeros((2, 3), dtype=np.uint8)
-        write_pgm(luma, tmp_path / "0.pgm")
-        # A directory's files are read only after its reader is called.
-        monkeypatch.setattr(
-            kernels.ACTIVE, "read_files",
-            lambda *a, _read=kernels.ACTIVE.read_files: reads.append(a) or _read(*a),
-        )
-
-        class Raw(io.BytesIO):
-            def read(self, n=-1):
-                reads.append(n)
-                return super().read(n)
-
-        def arrays():
-            reads.append("array")
-            yield luma
-
-        with pytest.raises(FrameSourceError, match="fps must be positive and finite"):
-            if opener == "directory":
-                open_source(tmp_path, fps=fps)
-            elif opener == "raw stream":
-                open_source(Raw(luma.tobytes()), fps=fps, width=3, height=2)
-            else:
-                stream_from_arrays(arrays(), fps=fps)
-        assert reads == []
-
     def test_empty_directory_rejected(self, tmp_path):
-        stream = open_source(tmp_path, fps=25)
+        stream = open_source(tmp_path)
         with pytest.raises(FrameSourceError):
             list(stream)
 
@@ -259,7 +226,7 @@ class TestStreams:
         write_pgm(np.zeros((8, 12), dtype=np.uint8), tmp_path / "0000.pgm")
         write_pgm(np.zeros((8, 13), dtype=np.uint8), tmp_path / "0001.pgm")
         with pytest.raises(FrameSourceError):
-            list(open_source(tmp_path, fps=25))
+            list(open_source(tmp_path))
 
     @pytest.mark.parametrize(
         "width, height, rejected",
@@ -269,7 +236,7 @@ class TestStreams:
         # The frames are 12x8. Only a size given whole is checked.
         for i in range(2):
             write_pgm(np.zeros((8, 12), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
-        stream = open_source(tmp_path, fps=25, width=width, height=height)
+        stream = open_source(tmp_path, width=width, height=height)
         if not rejected:
             assert len(list(stream)) == 2
             return
@@ -279,20 +246,19 @@ class TestStreams:
             f"{tmp_path / '0000.pgm'}: frame 0 dimensions (8, 12) differ from ({height}, {width})"
         )
 
-    @pytest.mark.parametrize("fps", [25, 29.97, 50])
-    def test_directory_frames_equal_checked_frames(self, tmp_path, fps):
+    def test_directory_frames_equal_checked_frames(self, tmp_path):
         # The PGM reader sets its frames' slots itself; each frame equals
         # the one Frame() checks and builds from the same values.
         rng = np.random.default_rng(5)
         arrays = [rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(4)]
         for i, arr in enumerate(arrays):
             write_pgm(arr, tmp_path / f"{i:04d}.pgm")
-        frames = list(open_source(tmp_path, fps=fps))
+        frames = list(open_source(tmp_path))
         assert len(frames) == len(arrays)
         for i, (frame, arr) in enumerate(zip(frames, arrays)):
-            checked = Frame(i, i * 1000.0 / fps, arr.copy())
+            checked = Frame(i, arr.copy())
             assert type(frame) is Frame
-            assert (frame.index, frame.timestamp_ms) == (checked.index, checked.timestamp_ms)
+            assert frame.index == checked.index
             np.testing.assert_array_equal(frame.luma, checked.luma)
             assert frame.luma.dtype == np.uint8 and frame.luma.flags.c_contiguous
             assert not frame.luma.flags.writeable
@@ -307,7 +273,7 @@ class TestStreams:
         arr = np.arange(48, dtype=np.uint8).reshape(4, 12)
         strided = arr[:, ::2]
         writeable = np.zeros((4, 6), dtype=np.uint8)
-        first, second = stream_from_arrays([strided, writeable], fps=25)
+        first, second = stream_from_arrays([strided, writeable])
         assert first.luma.flags.c_contiguous and first.luma is not strided
         np.testing.assert_array_equal(first.luma, strided)
         assert not first.luma.flags.writeable
@@ -319,7 +285,7 @@ class TestStreams:
         for i in range(2):
             write_pgm(np.zeros((8, 12), dtype=np.uint8), tmp_path / f"{i:04d}.pgm")
         write_pgm(np.zeros((12, 8), dtype=np.uint8), tmp_path / "0002.pgm")
-        stream = open_source(tmp_path, fps=25)
+        stream = open_source(tmp_path)
         assert [next(stream).index for _ in range(2)] == [0, 1]
         with pytest.raises(FrameSourceError) as err:
             next(stream)
@@ -327,22 +293,45 @@ class TestStreams:
             f"{tmp_path / '0002.pgm'}: frame 2 dimensions (12, 8) differ from (8, 12)"
         )
 
-    def test_raw_pipe(self):
+    def test_raw_pipe(self, tmp_path):
         frames = [np.full((4, 6), i, dtype=np.uint8) for i in range(3)]
-        buf = io.BytesIO(b"".join(f.tobytes() for f in frames))
-        out = list(open_source(buf, fps=10, width=6, height=4))
-        assert len(out) == 3
+        (tmp_path / "f.raw").write_bytes(b"".join(f.tobytes() for f in frames))
+        out = list(open_source(tmp_path / "f.raw", width=6, height=4))
+        assert [f.index for f in out] == [0, 1, 2]
         assert out[2].luma[0, 0] == 2
-        assert out[1].timestamp_ms == 100.0
 
-    def test_raw_pipe_truncated(self):
-        buf = io.BytesIO(b"\x00" * 25)  # one full 4x6 frame plus one byte
-        with pytest.raises(FrameSourceError, match="got 1 of 24 bytes"):
-            list(open_source(buf, fps=10, width=6, height=4))
+    def test_raw_pipe_truncated(self, tmp_path):
+        path = tmp_path / "f.raw"
+        path.write_bytes(b"\x00" * 25)  # one full 4x6 frame plus one byte
+        with pytest.raises(FrameSourceError) as err:
+            list(open_source(path, width=6, height=4))
+        assert str(err.value) == f"{path}: frame 1 truncated: got 1 of 24 bytes"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="files are counted in Linux's /proc")
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "freed", "truncated"])
+    def test_raw_file_is_open_only_while_the_stream_runs(self, tmp_path, end):
+        path = tmp_path / "f.raw"
+        path.write_bytes(bytes(3 * 24 + (end == "truncated")))
+        before = len(os.listdir("/proc/self/fd"))
+        stream = open_source(path, width=6, height=4)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert next(stream).index == 0
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        if end == "exhausted":
+            assert [frame.index for frame in stream] == [1, 2]
+        elif end == "closed":
+            stream.close()
+        elif end == "freed":
+            del stream
+        else:
+            with pytest.raises(FrameSourceError, match="frame 3 truncated"):
+                list(stream)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_readers_return_read_only_arrays(self, tmp_path):
         arr = np.arange(24, dtype=np.uint8).reshape(4, 6)
-        (raw,) = _raw_pipe_frames(io.BytesIO(arr.tobytes()), 6, 4)
+        (tmp_path / "f.raw").write_bytes(arr.tobytes())
+        (raw,) = (f.luma for f in _raw_pipe_frames(tmp_path / "f.raw", 6, 4))
         write_pgm(arr, tmp_path / "0.pgm")
         pgm = _read_pgm(tmp_path / "0.pgm")
         for out in (raw, pgm):
@@ -350,9 +339,10 @@ class TestStreams:
             assert out.flags.c_contiguous
             np.testing.assert_array_equal(out, arr)
 
-    def test_raw_pipe_needs_dimensions(self):
+    def test_raw_pipe_needs_dimensions(self, tmp_path):
+        (tmp_path / "f.raw").write_bytes(b"")
         with pytest.raises(FrameSourceError):
-            open_source(io.BytesIO(), fps=10)
+            open_source(tmp_path / "f.raw", width=6)
 
     @pytest.mark.parametrize(
         "arr",
@@ -362,19 +352,19 @@ class TestStreams:
         ],
     )
     def test_stream_from_arrays_converts_what_is_not_a_uint8_array(self, arr):
-        (frame,) = stream_from_arrays([arr], fps=25)
+        (frame,) = stream_from_arrays([arr])
         assert frame.luma.dtype == np.uint8 and frame.luma.flags.c_contiguous
         np.testing.assert_array_equal(frame.luma, np.asarray(arr).astype(np.uint8))
 
     def test_stream_indices_gapless(self):
         arrays = [np.zeros((4, 4), dtype=np.uint8)] * 5
-        indices = [f.index for f in stream_from_arrays(arrays, fps=25)]
+        indices = [f.index for f in stream_from_arrays(arrays)]
         assert indices == [0, 1, 2, 3, 4]
 
     def test_one_based_directory_streams_from_zero(self, tmp_path):
         for i in range(1, 4):
             write_pgm(np.full((2, 3), i, dtype=np.uint8), tmp_path / f"{i}.pgm")
-        frames = list(open_source(tmp_path, fps=25))
+        frames = list(open_source(tmp_path))
         assert [(f.index, int(f.luma[0, 0])) for f in frames] == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize(
@@ -389,7 +379,7 @@ class TestStreams:
         for name in names:
             write_pgm(np.zeros((2, 3), dtype=np.uint8), tmp_path / name)
         with pytest.raises(FrameSourceError) as err:
-            next(open_source(tmp_path, fps=25))
+            next(open_source(tmp_path))
         assert str(err.value) == f"{tmp_path / first} and {tmp_path / second}: {words}"
 
     @pytest.mark.parametrize("name", ["0000.pgm", "0001.pgm"])
@@ -408,7 +398,7 @@ class TestStreams:
         else:
             write_pgm(arr, tmp_path / "elsewhere.pgm")
             path.symlink_to(tmp_path / "elsewhere.pgm")
-        stream = open_source(tmp_path, fps=25)
+        stream = open_source(tmp_path)
         if kind == "symlink to a file":
             assert len(list(stream)) == 3
             return
@@ -425,7 +415,7 @@ class TestStreams:
         (tmp_path / "0001.pgm").write_bytes(
             b"P5\n#" + b"c" * 40 * len(first) + b"\n3 2\n255\n" + arr[::-1].tobytes()
         )
-        frames = list(open_source(tmp_path, fps=25))
+        frames = list(open_source(tmp_path))
         np.testing.assert_array_equal(frames[0].luma, arr)
         np.testing.assert_array_equal(frames[1].luma, arr[::-1])
 
@@ -447,7 +437,7 @@ class TestStreams:
         rng = np.random.default_rng(3)
         arr = rng.integers(0, 256, size=(31, 17), dtype=np.uint8)
         write_pgm(arr, tmp_path / "0.pgm")
-        out = list(open_source(tmp_path, fps=1))[0]
+        out = list(open_source(tmp_path))[0]
         np.testing.assert_array_equal(out.luma, arr)
 
     def test_pgm_round_trip_of_strided_array(self, tmp_path):
@@ -647,7 +637,7 @@ class TestReaderThread:
         if end == "bad header":
             (tmp_path / "0005.pgm").write_bytes(b"P6\n640 360\n255\n" + bytes(360 * 640))
         before = _threads()
-        stream = open_source(tmp_path, fps=25)
+        stream = open_source(tmp_path)
         assert next(stream).index == 0
         assert _threads() == before + 1
         if end == "closed":

@@ -25,7 +25,7 @@ BAND = BandSpec(0.15)
 
 
 def frame(arr, index=0):
-    return Frame(index, 0.0, np.asarray(arr, dtype=np.uint8))
+    return Frame(index, np.asarray(arr, dtype=np.uint8))
 
 
 class TestBandDifference:

@@ -82,7 +82,7 @@ class TestBackgroundModel:
 
     def test_update_background_wrapper(self):
         model = BackgroundModel(CFG)
-        frame = Frame(0, 0.0, np.zeros((8, 8), dtype=np.uint8))
+        frame = Frame(0, np.zeros((8, 8), dtype=np.uint8))
         assert model.update(frame.luma) == Foreground(0, 64)
 
     def test_reset_forgets_scene(self):
@@ -172,6 +172,20 @@ class TestSegment:
         )
         (clip,) = run_script(script)
         assert clip.duration_ms == pytest.approx(50 * 1000.0 / 50.0)
+
+    @pytest.mark.parametrize("fps", [0, -1, float("inf"), float("nan")])
+    def test_bad_fps_rejected_before_any_pull(self, fps):
+        script = script_from_lengths([(OTHER_VIEW, 5)], **SMALL)
+        pulled = []
+
+        def frames():
+            for frame in frame_stream(script):
+                pulled.append(frame.index)
+                yield frame
+
+        with pytest.raises(ValueError, match="fps must be positive and finite"):
+            next(segment(frames(), synthetic_backend(script), fps))
+        assert pulled == []
 
     def test_gate_close_ends_clip_without_a_cut(self):
         # Same base level on both sides of the junction: no visual cut, so
@@ -505,7 +519,7 @@ def gated_streams(draw):
         luma = np.full((20, 16), level, dtype=np.uint8)
         if mask & 8:
             luma[-3:] = 255 - level
-        frames.append(Frame(i, i * 20.0, luma))
+        frames.append(Frame(i, luma))
         records[i] = _annotations(i, mask)
     return frames, records
 
