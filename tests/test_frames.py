@@ -246,11 +246,12 @@ class TestStreams:
             f"{tmp_path / '0000.pgm'}: frame 0 dimensions (8, 12) differ from ({height}, {width})"
         )
 
-    def test_directory_frames_equal_checked_frames(self, tmp_path):
+    @pytest.mark.parametrize("shape", [(9, 7), (1, 1), (90, 160)])
+    def test_directory_frames_equal_checked_frames(self, tmp_path, shape):
         # The PGM reader sets its frames' slots itself; each frame equals
         # the one Frame() checks and builds from the same values.
         rng = np.random.default_rng(5)
-        arrays = [rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(4)]
+        arrays = [rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(4)]
         for i, arr in enumerate(arrays):
             write_pgm(arr, tmp_path / f"{i:04d}.pgm")
         frames = list(open_source(tmp_path))
@@ -339,10 +340,26 @@ class TestStreams:
             assert out.flags.c_contiguous
             np.testing.assert_array_equal(out, arr)
 
-    def test_raw_pipe_needs_dimensions(self, tmp_path):
-        (tmp_path / "f.raw").write_bytes(b"")
-        with pytest.raises(FrameSourceError):
-            open_source(tmp_path / "f.raw", width=6)
+    @pytest.mark.parametrize("width, height", [(6, None), (None, 4), (None, None)])
+    def test_raw_pipe_needs_dimensions(self, tmp_path, width, height):
+        path = tmp_path / "f.raw"
+        path.write_bytes(b"")
+        with pytest.raises(FrameSourceError) as err:
+            open_source(path, width=width, height=height)
+        assert str(err.value) == f"{path}: raw luma input needs explicit width and height"
+
+    @pytest.mark.parametrize("kind", ["missing", "fifo"])
+    def test_other_paths_refused_unopened(self, tmp_path, kind):
+        # Opening a FIFO would block until a writer came; open_source
+        # raises at the call instead, whatever size is given.
+        path = tmp_path / "src"
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(path)
+        with pytest.raises(FrameSourceError) as err:
+            open_source(path, width=6, height=4)
+        assert str(err.value) == f"{path}: not a frame directory or regular file"
 
     @pytest.mark.parametrize(
         "arr",
