@@ -18,7 +18,7 @@ from typing import Iterator, Protocol
 
 from cricseg import kernels
 from cricseg.frames import CropSpec, Frame, crop_offsets
-from cricseg.kernels import _fallback
+from cricseg.kernels import _pure
 
 OBJECT_LABELS = frozenset({"pitch", "umpire", "batsman", "bowler", "ball"})
 
@@ -259,7 +259,7 @@ def load_precomputed(
         exact = float(frame_w) == frame_w and float(frame_h) == frame_h
     except OverflowError:
         exact = False
-    scan = kernels.ACTIVE.scan_annotations if exact else _fallback.scan_annotations
+    scan = kernels.ACTIVE.scan_annotations if exact else _pure.scan_annotations
     lineno = 0
     # Only LF ends a record: a CR alone is JSON whitespace inside one.
     with open(path, "rb") as fh:

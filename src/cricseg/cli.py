@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from cricseg.backend import (
     AnnotationError,
@@ -32,19 +33,6 @@ from cricseg.metrics import (
     report_to_csv,
     report_to_json,
 )
-from cricseg.scenario import (
-    OTHER_VIEW,
-    FRONT_VIEW,
-    DeliverySpec,
-    ScenarioError,
-    ScenarioScript,
-    bundled_scripts,
-    frame_stream,
-    load_script,
-    resolve_script,
-    script_from_lengths,
-    synthetic_backend,
-)
 from cricseg.segmenter import ClipExport, SegmentationError, run_segmentation
 from cricseg.tracker import (
     BallCandidate,
@@ -54,7 +42,24 @@ from cricseg.tracker import (
     trajectory_to_obj,
 )
 
+# The synthetic scenarios render frames with numpy, so ``scenario`` is
+# imported only by the paths that use it; a file backend runs without it.
+if TYPE_CHECKING:
+    from cricseg.scenario import ScenarioScript
+
 _JSON = {"sort_keys": True, "separators": (",", ":")}
+
+# Errors that exit 2. ``scenario.ScenarioError`` joins them once that
+# module is loaded, as only its paths raise it.
+_RUNTIME_ERRORS = (
+    SegmentationError,
+    AnnotationError,
+    AnnotationLoadError,
+    FrameSourceError,
+    GeometryError,
+    ValueError,
+    OSError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +142,8 @@ def _pipeline_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict[str
 def _load_backend(cfg: PipelineConfig) -> tuple[MappingBackend, ScenarioScript | None]:
     """The annotation backend, and the scenario script behind a synthetic one."""
     if cfg.backend == "synthetic":
+        from cricseg.scenario import resolve_script, synthetic_backend
+
         script = resolve_script(cfg.scenario)
         return synthetic_backend(script), script
     backend = load_precomputed(
@@ -147,10 +154,23 @@ def _load_backend(cfg: PipelineConfig) -> tuple[MappingBackend, ScenarioScript |
     return backend, None
 
 
+def frame_stream(script: ScenarioScript):
+    """The frames a scenario script renders (``scenario.frame_stream``)."""
+    from cricseg import scenario
+
+    return scenario.frame_stream(script)
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg, _ = _pipeline_config(args)
-    if cfg.backend != "synthetic" and cfg.source is None:
-        raise ConfigError("a file backend needs --source for the frames")
+    if cfg.backend != "synthetic":
+        if cfg.source is None:
+            raise ConfigError("a file backend needs --source for the frames")
+        if not (cfg.width and cfg.height) and Path(cfg.source).is_file():
+            raise ConfigError(
+                f"{cfg.source}: raw luma input needs source.width and source.height "
+                "(--width, --height)"
+            )
     backend, script = _load_backend(cfg)
     export = ClipExport(args.export_frames) if args.export_frames else None
     if script is not None:
@@ -372,6 +392,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def bench_script(n_frames: int, width: int, height: int) -> ScenarioScript:
     """A repeating match-like timeline with the requested frame count."""
+    from cricseg.scenario import FRONT_VIEW, OTHER_VIEW, DeliverySpec, script_from_lengths
+
     spec: list[tuple] = []
     total = 0
     while total < n_frames:
@@ -394,6 +416,8 @@ def bench_script(n_frames: int, width: int, height: int) -> ScenarioScript:
 
 
 def cmd_scenarios(_: argparse.Namespace) -> int:
+    from cricseg.scenario import bundled_scripts, load_script
+
     for name, path in bundled_scripts().items():
         script = load_script(path)
         deliveries = sum(1 for s in script.segments if s.delivery is not None)
@@ -402,6 +426,11 @@ def cmd_scenarios(_: argparse.Namespace) -> int:
             f"@{script.fps:g}fps, {len(script.segments)} segments, {deliveries} deliveries"
         )
     return 0
+
+
+def _runtime_errors() -> tuple:
+    scenario = sys.modules.get("cricseg.scenario")
+    return _RUNTIME_ERRORS if scenario is None else (*_RUNTIME_ERRORS, scenario.ScenarioError)
 
 
 _COMMANDS = {
@@ -425,16 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (
-        SegmentationError,
-        AnnotationError,
-        AnnotationLoadError,
-        FrameSourceError,
-        ScenarioError,
-        GeometryError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except _runtime_errors() as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

@@ -3,26 +3,31 @@
 Frames are 8-bit luma rasters with a strictly increasing, gapless index.
 Sources are a directory of numbered PGM files or a file of headerless raw
 luma; codec decoding is left to external tooling. Readers do not copy
-pixels: a frame's ``luma`` may be a read-only view of the bytes read from
-the source. A directory's PGM files are read through
-``kernels.ACTIVE.read_files``, which the compiled build runs up to 512 KiB
-(2-64 files) ahead on a thread of its own.
+pixels: a frame's ``luma`` is a read-only 2-D ``memoryview`` (format
+``"B"``, C-contiguous) over the bytes read from the source, a PGM file's
+sliced at its pixel offset. A memoryview has no 2-D slicing, so a band of
+rows is cut from its flat bytes (see ``replay``). A directory's PGM files
+are read through ``kernels.ACTIVE.read_files``, which the compiled build
+runs up to 512 KiB (2-64 files) ahead on a thread of its own.
+
+No reader needs numpy, and this module never imports it: a caller's numpy
+array is recognised only once numpy is loaded, and ``stream_from_arrays``
+and ``write_pgm`` of anything but a uint8 memoryview import it when called.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from cricseg import kernels
 
-
-_UINT8 = np.dtype(np.uint8)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FrameSourceError(Exception):
@@ -35,9 +40,12 @@ class Frame:
 
     Row 0 is the top of the image; row coordinates increase downward.
     Frames are immutable after creation and safe to share across threads.
-    The luma plane is always C-contiguous, as the compiled kernels require;
-    a strided array is copied. It is read-only, and may be a view of the
-    source's bytes rather than an array of its own.
+    ``luma`` is any C-contiguous 2-D uint8 buffer, as the compiled kernels
+    require, and is read-only. A caller's numpy array is kept, made
+    read-only in place, and copied only when strided. Any other buffer is
+    held as a read-only 2-D memoryview of format ``"B"``: a read-only,
+    C-contiguous one is viewed, a writable or strided one copied. The
+    readers' frames hold such memoryviews over the bytes they read.
     """
 
     # Declared by hand so that frames keep weak references on every
@@ -45,28 +53,46 @@ class Frame:
     __slots__ = ("index", "luma", "__weakref__")
 
     index: int
-    luma: np.ndarray
+    luma: memoryview
 
     def __post_init__(self) -> None:
         luma = self.luma
         if self.index < 0:
             raise ValueError("frame index must be >= 0")
-        if luma.ndim != 2 or luma.dtype != _UINT8:
-            raise ValueError("luma must be a 2-D uint8 array")
-        if luma.shape[0] == 0 or luma.shape[1] == 0:
-            raise ValueError("frame dimensions must be positive")
-        flags = luma.flags
-        if not flags.c_contiguous:
-            luma = np.ascontiguousarray(luma)
-            object.__setattr__(self, "luma", luma)
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(luma, np.ndarray):
+            if luma.ndim != 2 or luma.dtype != np.uint8:
+                raise ValueError("luma must be a 2-D uint8 array")
+            if luma.shape[0] == 0 or luma.shape[1] == 0:
+                raise ValueError("frame dimensions must be positive")
             flags = luma.flags
-        if flags.writeable:
-            flags.writeable = False
+            if not flags.c_contiguous:
+                luma = np.ascontiguousarray(luma)
+                object.__setattr__(self, "luma", luma)
+                flags = luma.flags
+            if flags.writeable:
+                flags.writeable = False
+            return
+        try:
+            view = memoryview(luma)
+        except TypeError:
+            raise ValueError("luma must be a 2-D uint8 array") from None
+        if view.ndim != 2 or view.format != "B":
+            raise ValueError("luma must be a 2-D uint8 array")
+        if view.shape[0] == 0 or view.shape[1] == 0:
+            raise ValueError("frame dimensions must be positive")
+        if not view.readonly or not view.c_contiguous:
+            view = _plane(view.tobytes(), view.shape)
+        object.__setattr__(self, "luma", view)
 
     def __reduce__(self):
         # Copies and pickles go through __init__: the default restore of
-        # slots assigns to them, which a frozen dataclass refuses.
-        return Frame, (self.index, self.luma)
+        # slots assigns to them, which a frozen dataclass refuses. A
+        # memoryview does not pickle, so its bytes and shape stand in.
+        luma = self.luma
+        if isinstance(luma, memoryview):
+            return _frame_of_bytes, (self.index, luma.tobytes(), luma.shape)
+        return Frame, (self.index, luma)
 
     @property
     def height(self) -> int:
@@ -77,9 +103,20 @@ class Frame:
         return self.luma.shape[1]
 
 
-# The PGM reader builds its frames by setting their slots: its header
-# parse proves a positive 2-D size, and an array over bytes is uint8,
-# C-contiguous and read-only, which is all __post_init__ would check.
+def _plane(data: bytes, shape: tuple[int, int]) -> memoryview:
+    """A read-only 2-D uint8 plane over ``data``, which holds exactly
+    ``shape``'s pixels."""
+    return memoryview(data).cast("B", shape)
+
+
+def _frame_of_bytes(index: int, data: bytes, shape: tuple[int, int]) -> Frame:
+    return Frame(index, _plane(data, shape))
+
+
+# The readers build their frames by setting their slots: the PGM header
+# parse and the raw frame size prove a positive 2-D size, and a plane cast
+# from bytes is uint8, C-contiguous and read-only, which is all
+# __post_init__ would check.
 _new = object.__new__
 _set_index = Frame.index.__set__
 _set_luma = Frame.luma.__set__
@@ -128,10 +165,12 @@ def crop_offsets(spec: CropSpec, width: int, height: int) -> tuple[int, int]:
 
 def stream_from_arrays(arrays: Iterable[np.ndarray]) -> Iterator[Frame]:
     """Frames 0, 1, ... of an iterable of uint8 luma arrays."""
+    import numpy as np
+
     shape = None
     for i, arr in enumerate(arrays):
         shape = _same_shape(i, arr.shape, shape)
-        if type(arr) is not np.ndarray or arr.dtype != _UINT8:
+        if type(arr) is not np.ndarray or arr.dtype != np.uint8:
             arr = np.ascontiguousarray(arr, dtype=np.uint8)
         yield Frame(i, arr)
 
@@ -146,12 +185,22 @@ def _same_shape(i: int, shape: tuple, expected: tuple | None, path: str | None =
     return shape
 
 
-def write_pgm(luma: np.ndarray, path: str | Path) -> None:
-    """Write a luma plane as binary (P5) PGM, straight from its buffer."""
+def write_pgm(luma: memoryview | np.ndarray, path: str | Path) -> None:
+    """Write a luma plane as binary (P5) PGM, straight from its buffer.
+
+    A uint8 memoryview is written as it is; anything else goes through
+    ``numpy.ascontiguousarray(luma, dtype=numpy.uint8)``.
+    """
     h, w = luma.shape
+    if isinstance(luma, memoryview) and luma.format == "B":
+        pixels = luma if luma.c_contiguous else luma.tobytes()
+    else:
+        import numpy as np
+
+        pixels = np.ascontiguousarray(luma, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(luma, dtype=np.uint8))
+        fh.write(pixels)
 
 
 _NUMBERED = re.compile(r"(\d+)\.pgm$", re.IGNORECASE)
@@ -190,14 +239,14 @@ def _pgm_header(path: str | Path, data: bytes) -> tuple[int, int, int]:
     return width, height, header.end()
 
 
-def _pgm_pixels(path: str | Path, data: bytes, width: int, height: int, pos: int) -> np.ndarray:
-    # Checked before numpy sees the count: a huge one overflows.
-    if width * height > len(data) - pos:
+def _pgm_pixels(path: str | Path, data: bytes, width: int, height: int, pos: int) -> memoryview:
+    end = pos + width * height
+    if end > len(data):
         raise FrameSourceError(f"{path}: malformed PGM header")
-    return np.ndarray((height, width), _UINT8, data, pos)
+    return memoryview(data)[pos:end].cast("B", (height, width))
 
 
-def _read_pgm(path: str | Path) -> np.ndarray:
+def _read_pgm(path: str | Path) -> memoryview:
     """The luma plane of one PGM file, read and parsed on its own."""
     data = next(kernels.ACTIVE.read_files([path]))
     return _pgm_pixels(path, data, *_pgm_header(path, data))
@@ -264,7 +313,10 @@ def _raw_pipe_frames(path: Path, width: int, height: int) -> Iterator[Frame]:
                 raise FrameSourceError(
                     f"{path}: frame {i} truncated: got {len(buf)} of {nbytes} bytes"
                 )
-            yield Frame(i, np.frombuffer(buf, dtype=np.uint8).reshape(height, width))
+            frame = _new(Frame)
+            _set_index(frame, i)
+            _set_luma(frame, _plane(buf, (height, width)))
+            yield frame
 
 
 def open_source(

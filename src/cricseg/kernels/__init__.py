@@ -31,21 +31,32 @@ expose the same four functions:
   started on reads it itself. It raises the same ``OSError`` at the same
   file, and stops and joins its thread when it is exhausted, raises, is
   closed or is freed. An extension built without ``<pthread.h>`` has no
-  reader of its own and uses the fallback's.
+  reader of its own and uses the Python one, ``_pure.read_files``.
 
 Both implementations give bit-identical means, equal counts and equal
-records, which the test suite enforces. The compiled ``bg_update`` and
-``band_abs_diff_mean`` take 2-D C-contiguous arrays only and raise
-``ValueError`` on any other shape, dtype or layout. On x86-64 with glibc
+records, which the test suite enforces. The two per-pixel kernels take
+2-D buffers: numpy arrays, or memoryviews such as the frame readers' uint8
+planes (format ``"B"``) and the segmenter's float32 mean (format ``"f"``).
+The compiled ones take C-contiguous buffers of those formats only and
+raise ``ValueError`` on any other shape, format or layout; the fallback
+views what it is given as numpy arrays. On x86-64 with glibc
 the ``bg_update`` loop is built twice, for AVX2 and for the baseline, and
 the dynamic loader picks the AVX2 body once, when the extension loads, on
 a CPU that has it; elsewhere the baseline body is the only one. Both
 bodies round like numpy, so the choice never changes a result.
+
+Only the fallback imports numpy, and ``_fallback`` is loaded only when it
+is the active implementation or is asked for by name. The scan that
+declines every line and the Python file reader live in the numpy-free
+``_pure``, so a compiled build, with or without its own reader, runs every
+file-backed path without numpy.
 """
 
 from __future__ import annotations
 
-from cricseg.kernels import _fallback
+import importlib
+
+from cricseg.kernels import _pure
 
 try:
     from cricseg.kernels import _native
@@ -56,6 +67,13 @@ except ImportError:
     NATIVE_AVAILABLE = False
 
 ACTIVE_IMPL = "native" if NATIVE_AVAILABLE else "fallback"
+
+
+def __getattr__(name: str):
+    # Loads the numpy fallback on first use of ``kernels._fallback``.
+    if name == "_fallback":
+        return importlib.import_module("cricseg.kernels._fallback")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Impl:
@@ -77,7 +95,10 @@ class _Impl:
         )
 
     def read_files(self, paths):
-        return getattr(self._mod, "read_files", _fallback.read_files)(paths)
+        return getattr(self._mod, "read_files", _pure.read_files)(paths)
 
 
-ACTIVE = _Impl(ACTIVE_IMPL, _native if NATIVE_AVAILABLE else _fallback)
+ACTIVE = _Impl(
+    ACTIVE_IMPL,
+    _native if NATIVE_AVAILABLE else importlib.import_module("cricseg.kernels._fallback"),
+)

@@ -1,31 +1,27 @@
 """Python implementations of the kernels.
 
 Drop-in twin of the compiled module; selected automatically when the
-extension is not built.
+extension is not built. The two per-pixel kernels take any 2-D buffers
+(numpy arrays, memoryviews) and view them as arrays; the numpy-free rest
+comes from ``_pure``.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Iterable, Iterator
-
 import numpy as np
 
+from cricseg.kernels._pure import read_file, read_files, scan_annotations  # noqa: F401
 
-def bg_update(
-    mean: np.ndarray,
-    luma: np.ndarray,
-    learning_rate: float,
-    diff_threshold: float,
-) -> int:
+
+def bg_update(mean, luma, learning_rate: float, diff_threshold: float) -> int:
     """Blend one frame into the running background; count deviating pixels.
 
     ``mean`` (float32) is updated in place toward ``luma``. Returns how
     many pixels deviate from the pre-update mean by more than
     ``diff_threshold``.
     """
-    diff = luma.astype(np.float32)
+    mean = np.asarray(mean)
+    diff = np.asarray(luma).astype(np.float32)
     diff -= mean
     count = int(np.count_nonzero(np.abs(diff) > diff_threshold))
     diff *= learning_rate
@@ -33,57 +29,8 @@ def bg_update(
     return count
 
 
-def band_abs_diff_mean(first: np.ndarray, last: np.ndarray) -> float:
+def band_abs_diff_mean(first, last) -> float:
     """Mean absolute difference between two uint8 rasters of equal shape."""
-    a = first.astype(np.int16)
-    a -= last
+    a = np.asarray(first).astype(np.int16)
+    a -= np.asarray(last)
     return float(np.mean(np.abs(a, out=a)))
-
-
-def scan_annotations(block, pos, records, frame_w, frame_h, detection, annotations):
-    """Decline every annotation line: the loader's Python code reads them all."""
-    return pos, 0
-
-
-def read_file(path: str | Path, size_hint: int | None = None) -> bytes:
-    """All bytes of a file, read without a file object.
-
-    ``size_hint`` is the size the file is expected to have, or None to ask
-    the file system. A file no larger than that takes one read, plus the
-    one that finds its end.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        if size_hint is None:
-            size_hint = os.fstat(fd).st_size
-        chunks = []
-        total = 0
-        # Each read asks for what is left of room for hint + 1 bytes, so
-        # the read that finds the end asks for one byte, not another
-        # frame-sized buffer; once the room is full, it doubles.
-        room = size_hint + 1
-        while chunk := os.read(fd, room):
-            chunks.append(chunk)
-            total += len(chunk)
-            room -= len(chunk)
-            if not room:
-                room = total
-    except OSError as exc:
-        # A directory opens; only its read fails, and that names no file.
-        if exc.filename is None:
-            exc.filename = os.fspath(path)
-        raise
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
-def read_files(paths: Iterable[str | Path]) -> Iterator[bytes]:
-    """Each file's bytes, in order, each read when it is pulled: the first
-    at the size the file system gives, each later one with the size of the
-    file before it as its expected size."""
-    size_hint = None
-    for path in paths:
-        data = read_file(path, size_hint)
-        size_hint = len(data)
-        yield data

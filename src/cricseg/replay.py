@@ -36,7 +36,15 @@ def band_difference(first: Frame, last: Frame, band: BandSpec) -> float:
     if first.luma.shape != last.luma.shape:
         raise ValueError("frames differ in dimensions")
     r0, r1 = band.rows(first.height)
-    return kernels.ACTIVE.band_abs_diff_mean(first.luma[r0:r1], last.luma[r0:r1])
+    return kernels.ACTIVE.band_abs_diff_mean(_rows(first.luma, r0, r1), _rows(last.luma, r0, r1))
+
+
+def _rows(luma, start: int, stop: int) -> memoryview:
+    """Rows [start, stop) of a C-contiguous 2-D uint8 plane, viewed: a
+    memoryview has no 2-D slicing, so they are cut from its flat bytes."""
+    width = luma.shape[1]
+    flat = memoryview(luma).cast("B")
+    return flat[start * width : stop * width].cast("B", (stop - start, width))
 
 
 def classify_liveness(frames: Sequence[Frame], cfg: ReplayConfig) -> str:

@@ -19,8 +19,6 @@ from math import inf
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from cricseg import kernels
 from cricseg.backend import AnnotationError, Backend
 from cricseg.frames import Frame, write_pgm
@@ -71,13 +69,14 @@ class Foreground(NamedTuple):
 class BackgroundModel:
     """Per-pixel running average over the luma plane.
 
-    The model is warm once it has seen ``init_frames`` frames; the
+    The mean is a 2-D float32 memoryview (format ``"f"``) of the frame's
+    shape. The model is warm once it has seen ``init_frames`` frames; the
     foreground count is 0 until then.
     """
 
     def __init__(self, cfg: BoundaryConfig) -> None:
         self.cfg = cfg
-        self._mean: np.ndarray | None = None
+        self._mean: memoryview | None = None
         self.seen = 0
 
     @property
@@ -88,28 +87,32 @@ class BackgroundModel:
         self._mean = None
         self.seen = 0
 
-    def update(self, luma: np.ndarray) -> Foreground:
-        """Fold one frame in; returns its foreground count.
+    def update(self, luma) -> Foreground:
+        """Fold one 2-D uint8 luma plane in; returns its foreground count.
 
         The count compares against the pre-update mean, so a hard cut
         flags every pixel before the model starts adapting to the new
         scene.
         """
+        shape = luma.shape
+        pixels = shape[0] * shape[1]
         if self._mean is None:
-            self._mean = luma.astype(np.float32)
+            # The first frame is blended at rate 1 into a zeroed mean:
+            # 0 + 1 * (l - 0) is l exactly in float32, so the mean starts
+            # as the frame itself.
+            self._mean = memoryview(bytearray(4 * pixels)).cast("f", shape)
+            kernels.ACTIVE.bg_update(self._mean, luma, 1.0, self.cfg.pixel_diff_threshold)
             self.seen = 1
-            return Foreground(0, luma.size)
-        if luma.shape != self._mean.shape:
-            raise ValueError(
-                f"frame dimensions {luma.shape} do not match model {self._mean.shape}"
-            )
+            return Foreground(0, pixels)
+        if shape != self._mean.shape:
+            raise ValueError(f"frame dimensions {shape} do not match model {self._mean.shape}")
         count = kernels.ACTIVE.bg_update(
             self._mean, luma, self.cfg.learning_rate, self.cfg.pixel_diff_threshold
         )
         if not self.warm:
             count = 0
         self.seen += 1
-        return Foreground(count, luma.size)
+        return Foreground(count, pixels)
 
 
 def foreground_fraction(fg: Foreground) -> float:

@@ -14,7 +14,9 @@ import random
 from collections import Counter
 from itertools import groupby
 
-from cricseg import segmenter
+import pytest
+
+from cricseg import kernels, segmenter
 from cricseg.backend import Detection, FrameAnnotations
 from cricseg.geometry import PitchSpec, RowCalibration
 from cricseg.replay import UNDETERMINED, classify_liveness
@@ -25,6 +27,17 @@ from cricseg.scenario import (
     script_from_lengths,
 )
 from cricseg.tracker import BallCandidate
+
+# Both kernel implementations, as parameters for a test that binds
+# ``kernels.ACTIVE`` to each; the compiled one is skipped when not built.
+KERNEL_IMPLS = [
+    pytest.param(kernels._Impl("fallback", kernels._fallback), id="fallback"),
+    pytest.param(
+        kernels._Impl("native", kernels._native),
+        id="native",
+        marks=pytest.mark.skipif(not kernels.NATIVE_AVAILABLE, reason="the compiled kernel is not built"),
+    ),
+]
 
 
 def make_annotations(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cricseg import cli
+from cricseg import cli, kernels
 from cricseg.backend import MappingBackend, dump_annotations
 from cricseg.cli import main
 from cricseg.config import ConfigError, PipelineConfig, build_pipeline_config
@@ -343,6 +343,20 @@ class TestSegment:
         assert f"source.{size[0][2:]} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [[], ["--width", "160"], ["--height", "90"]])
+    def test_raw_source_without_size_is_config_error(self, raw_run, capsys, monkeypatch, size):
+        loads = []
+        monkeypatch.setattr(cli, "load_precomputed", lambda *a, **k: loads.append(a))
+        out = raw_run.tmp / "size_m.jsonl"
+        common = raw_run.common[: raw_run.common.index("--width")]
+        assert main(["segment", *common, *size, "--out", str(out)]) == 1
+        assert loads == []  # told before the backend loads
+        assert capsys.readouterr().err == (
+            f"config error: {raw_run.raw}: raw luma input needs source.width and "
+            "source.height (--width, --height)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("end", 149.9), ("end", "abc"), ("scorecard", "false")],
@@ -431,6 +445,64 @@ class TestSegment:
         assert code == 0
         rows = read_jsonl(out)
         assert [(r["start"], r["end"], r["liveness"]) for r in rows] == [(50, 149, "live")]
+
+
+# Runs the commands of argv[2] (a JSON list) through cli.main, the last
+# reading the annotations again, and prints which numpy modules, and
+# whether the numpy fallback kernel, got imported. argv[1] "no-reader"
+# first takes read_files out of the compiled module, as a build without
+# <pthread.h> has none.
+_NUMPY_FREE_RUN = """
+import json, sys
+from cricseg import cli, kernels
+if sys.argv[1] == "no-reader":
+    del kernels._native.read_files
+for argv in json.loads(sys.argv[2]):
+    if cli.main(argv) != 0:
+        sys.exit(argv[0] + " failed")
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] == "numpy" or m == "cricseg.kernels._fallback"
+)))
+"""
+
+
+@pytest.mark.skipif(not kernels.NATIVE_AVAILABLE, reason="the compiled kernel is not built")
+class TestNumpyFree:
+    @pytest.mark.parametrize("reader", ["native", "no-reader"])
+    @pytest.mark.parametrize("source", ["pgm", "raw"])
+    def test_file_backed_pipeline_never_imports_numpy(self, raw_run, reader, source):
+        tmp = raw_run.tmp
+        common = list(raw_run.common)
+        if source == "pgm":
+            frames_dir = tmp / "frames"
+            frames_dir.mkdir()
+            data = raw_run.raw.read_bytes()
+            for i in range(len(data) // (160 * 90)):
+                plane = np.frombuffer(data, np.uint8, 160 * 90, i * 160 * 90).reshape(90, 160)
+                write_pgm(plane, frames_dir / f"{i:06d}.pgm")
+            common[common.index("--source") + 1] = str(frames_dir)
+        out = tmp / "out"
+        commands = [
+            ["segment", *common, "--out", str(out / "m.jsonl"), "--export-frames", str(out / "x")],
+            ["track", *common, "--manifest", str(out / "m.jsonl"), "--out", str(out / "traj")],
+            ["classify", *common, "--trajectories", str(out / "traj"),
+             "--out", str(out / "report.jsonl")],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_RUN, reader, json.dumps(commands)],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        # The outputs are those of the same run with numpy loaded.
+        assert (out / "m.jsonl").read_bytes() == raw_run.manifest.read_bytes()
+        trajectories, report = raw_run.track_and_classify("in_process", raw_run.common)
+        assert [p.read_bytes() for p in sorted((out / "traj").iterdir())] == trajectories
+        assert (out / "report.jsonl").read_bytes() == report
+        assert b'"type"' in report
+        assert sorted((out / "x").rglob("*.pgm"))
 
 
 class TestTrackClassify:

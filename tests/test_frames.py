@@ -30,6 +30,8 @@ from cricseg.frames import (
 )
 from cricseg.kernels import _fallback
 
+from _support import KERNEL_IMPLS
+
 NATIVE_READ = getattr(kernels._native, "read_files", None)
 READERS = [_fallback.read_files] + ([NATIVE_READ] if NATIVE_READ is not None else [])
 needs_native_reader = pytest.mark.skipif(
@@ -261,9 +263,11 @@ class TestStreams:
             assert type(frame) is Frame
             assert frame.index == checked.index
             np.testing.assert_array_equal(frame.luma, checked.luma)
-            assert frame.luma.dtype == np.uint8 and frame.luma.flags.c_contiguous
-            assert not frame.luma.flags.writeable
-            with pytest.raises(ValueError):
+            view = memoryview(frame.luma)
+            assert view.format == "B" and view.ndim == 2 and view.c_contiguous
+            assert view.readonly
+            # A read-only memoryview refuses the write with TypeError.
+            with pytest.raises(TypeError):
                 frame.luma[0, 0] = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 frame.index = 0
@@ -336,8 +340,9 @@ class TestStreams:
         write_pgm(arr, tmp_path / "0.pgm")
         pgm = _read_pgm(tmp_path / "0.pgm")
         for out in (raw, pgm):
-            assert not out.flags.writeable
-            assert out.flags.c_contiguous
+            view = memoryview(out)
+            assert view.readonly
+            assert view.c_contiguous
             np.testing.assert_array_equal(out, arr)
 
     @pytest.mark.parametrize("width, height", [(6, None), (None, 4), (None, None)])
@@ -556,6 +561,130 @@ def _read_outcome(read, paths):
         out.append((type(exc), exc.errno, exc.strerror, exc.filename, str(exc)))
     out.append(next(files, "exhausted"))
     return out
+
+
+class TestBufferFrames:
+    """Frames over plain buffers: what the readers make, and what Frame,
+    copies, pickles and write_pgm do with them."""
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLS)
+    @pytest.mark.parametrize("kind", ["pgm", "raw"])
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))]
+    )
+    def test_reader_frames_copy_and_pickle(self, tmp_path, monkeypatch, impl, kind, clone):
+        monkeypatch.setattr(kernels, "ACTIVE", impl)
+        arrays = [np.arange(24, dtype=np.uint8).reshape(4, 6) + i for i in range(2)]
+        if kind == "pgm":
+            for i, arr in enumerate(arrays):
+                write_pgm(arr, tmp_path / f"{i:04d}.pgm")
+            source = open_source(tmp_path)
+        else:
+            (tmp_path / "f.raw").write_bytes(b"".join(arr.tobytes() for arr in arrays))
+            source = open_source(tmp_path / "f.raw", width=6, height=4)
+        for i, frame in enumerate(source):
+            assert isinstance(frame.luma, memoryview)
+            out = clone(frame)
+            assert type(out) is Frame and out.index == i
+            assert isinstance(out.luma, memoryview)
+            assert out.luma.readonly and out.luma.c_contiguous
+            assert out.luma.format == "B" and out.luma.shape == (4, 6)
+            assert out.luma.tobytes() == arrays[i].tobytes()
+            assert out == frame
+        assert i == 1
+
+    def test_read_only_buffer_is_viewed(self):
+        data = bytes(range(12))
+        frame = Frame(0, memoryview(data).cast("B", (3, 4)))
+        assert isinstance(frame.luma, memoryview) and frame.luma.readonly
+        assert (frame.height, frame.width) == (3, 4)
+        assert frame.luma.obj is data
+
+    @pytest.mark.parametrize("kind", ["writable", "strided"])
+    def test_writable_or_strided_buffer_is_copied(self, kind):
+        arr = np.arange(48, dtype=np.uint8).reshape(4, 12)
+        if kind == "writable":
+            source = bytearray(arr.tobytes())
+            view = memoryview(source).cast("B", (4, 12))
+            want = arr
+        else:
+            arr.flags.writeable = False
+            view = memoryview(arr[:, ::2])
+            want = arr[:, ::2]
+        frame = Frame(0, view)
+        assert frame.luma.readonly and frame.luma.c_contiguous and frame.luma.format == "B"
+        assert frame.luma.tobytes() == want.tobytes()
+        if kind == "writable":
+            source[0] = 99
+            assert frame.luma[0, 0] == 0
+
+    @pytest.mark.parametrize(
+        "luma, words",
+        [
+            (memoryview(bytes(12)), "luma must be a 2-D uint8 array"),
+            (memoryview(bytes(16)).cast("f", (2, 2)), "luma must be a 2-D uint8 array"),
+            ([[0, 1], [2, 3]], "luma must be a 2-D uint8 array"),
+            (memoryview(np.zeros((0, 4), dtype=np.uint8)), "frame dimensions must be positive"),
+        ],
+    )
+    def test_buffer_of_wrong_shape_or_format_rejected(self, luma, words):
+        with pytest.raises(ValueError, match=words):
+            Frame(0, luma)
+
+    def test_write_pgm_of_memoryview_equals_array(self, tmp_path):
+        arr = np.random.default_rng(8).integers(0, 256, (5, 7), dtype=np.uint8)
+        write_pgm(arr, tmp_path / "array.pgm")
+        write_pgm(memoryview(arr.tobytes()).cast("B", (5, 7)), tmp_path / "view.pgm")
+        write_pgm(memoryview(arr), tmp_path / "array_view.pgm")
+        want = (tmp_path / "array.pgm").read_bytes()
+        assert want == b"P5\n7 5\n255\n" + arr.tobytes()
+        assert (tmp_path / "view.pgm").read_bytes() == want
+        assert (tmp_path / "array_view.pgm").read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a,
+            lambda a: a[:, ::2],
+            lambda a: a[::-1],
+            np.asfortranarray,
+            lambda a: a.astype(np.float64) + 0.75,
+            lambda a: a.astype(np.int16),
+            lambda a: a > 100,
+            lambda a: memoryview(a.astype(np.float32)),
+            lambda a: memoryview(a[:, ::2]),
+        ],
+        ids=["uint8", "strided", "reversed", "fortran", "float64", "int16", "bool",
+             "float32 memoryview", "strided memoryview"],
+    )
+    def test_write_pgm_keeps_its_bytes_for_numpy_inputs(self, tmp_path, make):
+        # The bytes that numpy.ascontiguousarray(luma, dtype=uint8) gives.
+        luma = make(np.arange(60, dtype=np.uint8).reshape(6, 10) * 4)
+        write_pgm(luma, tmp_path / "0.pgm")
+        h, w = luma.shape
+        want = b"P5\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(luma, dtype=np.uint8).tobytes()
+        assert (tmp_path / "0.pgm").read_bytes() == want
+
+    @pytest.mark.skipif(not kernels.NATIVE_AVAILABLE, reason="the compiled kernel is not built")
+    def test_build_without_reader_reads_with_python(self, tmp_path, monkeypatch):
+        # A build without <pthread.h> has no read_files of its own.
+        from cricseg.kernels import _pure
+
+        calls = []
+
+        def read_files(paths, _real=_pure.read_files):
+            calls.append(len(paths))
+            return _real(paths)
+
+        monkeypatch.delattr(kernels._native, "read_files")
+        monkeypatch.setattr(_pure, "read_files", read_files)
+        monkeypatch.setattr(kernels, "ACTIVE", kernels._Impl("native", kernels._native))
+        arrays = [np.full((3, 5), i, dtype=np.uint8) for i in range(3)]
+        for i, arr in enumerate(arrays):
+            write_pgm(arr, tmp_path / f"{i:04d}.pgm")
+        frames = list(open_source(tmp_path))
+        assert calls == [3]
+        assert [f.luma.tobytes() for f in frames] == [a.tobytes() for a in arrays]
 
 
 class TestReadFiles:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cricseg import kernels
 from cricseg.frames import BandSpec, Frame
 from cricseg.replay import (
     LIVE,
@@ -20,6 +21,8 @@ from cricseg.scenario import (
     frame_stream,
     script_from_lengths,
 )
+
+from _support import KERNEL_IMPLS
 
 BAND = BandSpec(0.15)
 
@@ -60,6 +63,25 @@ class TestBandDifference:
     def test_symmetric(self, a, b):
         fa, fb = frame(a), frame(b)
         assert band_difference(fa, fb, BAND) == band_difference(fb, fa, BAND)
+
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLS)
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 30), (90, 160)])
+    @pytest.mark.parametrize("fraction", [0.01, 0.15, 0.5, 1.0])
+    def test_memoryview_frames_equal_numpy_slices(self, monkeypatch, impl, shape, fraction):
+        # Reader frames hold memoryviews, whose band rows are cut from
+        # their flat bytes; the value is the one numpy row slices give.
+        monkeypatch.setattr(kernels, "ACTIVE", impl)
+        band = BandSpec(fraction)
+        rng = np.random.default_rng(shape[0])
+        a, b = (rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(2))
+        views = [Frame(0, memoryview(x.tobytes()).cast("B", shape)) for x in (a, b)]
+        assert isinstance(views[0].luma, memoryview)
+        r0, r1 = band.rows(shape[0])
+        want = impl.band_abs_diff_mean(a[r0:r1], b[r0:r1])
+        assert band_difference(*views, band) == want
+        assert band_difference(frame(a), frame(b), band) == want
+        assert want == pytest.approx(np.abs(a[r0:r1].astype(int) - b[r0:r1]).mean())
 
 
 class TestClassifyLiveness:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cricseg import segmenter
+from cricseg import kernels, segmenter
 from cricseg.backend import AnnotationError, Detection, FrameAnnotations, MappingBackend
 from cricseg.frames import Frame, _read_pgm
 from cricseg.gate import DUAL_MODES, STRATEGIES, GateConfig, apply_gate
@@ -38,7 +38,13 @@ from cricseg.scenario import (
     synthetic_backend,
 )
 
-from _support import boundary_flags, failing_write, random_cut_script, reference_segment
+from _support import (
+    KERNEL_IMPLS,
+    boundary_flags,
+    failing_write,
+    random_cut_script,
+    reference_segment,
+)
 
 CFG = BoundaryConfig()
 SMALL = dict(width=160, height=90)
@@ -84,6 +90,35 @@ class TestBackgroundModel:
         model = BackgroundModel(CFG)
         frame = Frame(0, np.zeros((8, 8), dtype=np.uint8))
         assert model.update(frame.luma) == Foreground(0, 64)
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLS)
+    @pytest.mark.parametrize("plane", ["array", "memoryview"])
+    def test_first_mean_is_the_frame_bit_for_bit(self, monkeypatch, impl, plane):
+        monkeypatch.setattr(kernels, "ACTIVE", impl)
+        luma = np.random.default_rng(4).integers(0, 256, (9, 13), dtype=np.uint8)
+        luma[0, :2] = (0, 255)
+        model = BackgroundModel(CFG)
+        if plane == "memoryview":
+            model.update(memoryview(luma.tobytes()).cast("B", luma.shape))
+        else:
+            model.update(luma)
+        mean = model._mean
+        assert isinstance(mean, memoryview)
+        assert mean.format == "f" and mean.shape == luma.shape and not mean.readonly
+        assert mean.tobytes() == luma.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLS)
+    def test_memoryview_planes_count_as_arrays(self, monkeypatch, impl):
+        # Frames from the readers hold memoryviews; the model counts them
+        # as it counts the same pixels in numpy arrays.
+        monkeypatch.setattr(kernels, "ACTIVE", impl)
+        rng = np.random.default_rng(6)
+        planes = [rng.integers(0, 256, (12, 10), dtype=np.uint8) for _ in range(CFG.init_frames + 6)]
+        by_array, by_view = BackgroundModel(CFG), BackgroundModel(CFG)
+        for luma in planes:
+            view = memoryview(luma.tobytes()).cast("B", luma.shape)
+            assert by_view.update(view) == by_array.update(luma)
+            assert by_view._mean.tobytes() == by_array._mean.tobytes()
 
     def test_reset_forgets_scene(self):
         model = BackgroundModel(CFG)
